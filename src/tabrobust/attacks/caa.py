@@ -36,8 +36,7 @@ class SampleResult:
     example when one was found (success True), else the original.
     `attempts` holds each stage's best candidate before reversion;
     `misclassified` and `valid` describe the attempt that decided the
-    outcome (so success == misclassified and valid), and `trace` the
-    per-stage objective history.
+    outcome (so success == misclassified and valid).
     """
 
     row_index: int
@@ -48,7 +47,6 @@ class SampleResult:
     valid: bool
     stage: Optional[str]
     attempts: dict[str, np.ndarray] = field(default_factory=dict)
-    trace: dict[str, list] = field(default_factory=dict)
 
 
 @dataclass
@@ -98,20 +96,19 @@ def caa(
 
     results: list[Optional[SampleResult]] = [None] * n
 
-    pending = []
-    for i in range(n):
-        carried = None if known_candidates is None else known_candidates.get(
-            int(row_indices[i])
+    carried = [
+        i for i in range(n)
+        if known_candidates and int(row_indices[i]) in known_candidates
+    ]
+    if carried:
+        idx = np.array(carried)
+        cands = np.array(
+            [known_candidates[int(row_indices[i])] for i in carried], dtype=float
         )
-        if carried is not None:
-            cand = np.asarray(carried, dtype=float)
-            valid = bool(
-                validity_mask(
-                    schema, scaler, cs, Z[i][None], cand[None], budget, cfg
-                )[0]
-            )
-            mis = bool(model.predict_proba_scaled(cand[None]).argmax(axis=1)[0] != y[i])
-            if valid and mis:
+        hits = validity_mask(schema, scaler, cs, Z[idx], cands, budget, cfg)
+        hits &= model.predict_proba_scaled(cands).argmax(axis=1) != y[idx]
+        for i, cand, hit in zip(idx, cands, hits):
+            if hit:
                 results[i] = SampleResult(
                     row_index=int(row_indices[i]),
                     original=Z[i].copy(),
@@ -122,8 +119,7 @@ def caa(
                     stage="carried",
                     attempts={"carried": cand.copy()},
                 )
-                continue
-        pending.append(i)
+    pending = [i for i in range(n) if results[i] is None]
 
     if pending:
         idx = np.array(pending)
@@ -145,16 +141,13 @@ def caa(
                 valid=valid,
                 stage="gradient" if hit else None,
                 attempts={"gradient": cand.copy()},
-                trace={"gradient": [float(t[pos]) for t in grad_out.loss_trace]},
             )
 
-    remaining = [
-        i for i in range(n) if results[i] is not None and not results[i].success
-    ]
+    remaining = [i for i in range(n) if not results[i].success]
     if budget.n_gen > 0 and remaining:
 
         def run_search(i: int):
-            return i, moeva(
+            return moeva(
                 model,
                 cs,
                 Z[i],
@@ -165,24 +158,16 @@ def caa(
                 row_seed=int(row_indices[i]),
             )
 
-        for i, search_out in seeded_parallel_map(run_search, remaining, workers):
+        outs = seeded_parallel_map(run_search, remaining, workers)
+        idx = np.array(remaining)
+        cands = np.array([out.candidate for out in outs])
+        valid = validity_mask(schema, scaler, cs, Z[idx], cands, budget, cfg)
+        for i, search_out, ok in zip(remaining, outs, valid):
             res = results[i]
             res.attempts["search"] = search_out.candidate.copy()
-            res.trace["search"] = list(search_out.trace)
-            valid = bool(
-                validity_mask(
-                    schema,
-                    scaler,
-                    cs,
-                    Z[i][None],
-                    search_out.candidate[None],
-                    budget,
-                    cfg,
-                )[0]
-            )
             res.misclassified = search_out.misclassified
-            res.valid = valid
-            if search_out.misclassified and valid:
+            res.valid = bool(ok)
+            if search_out.misclassified and ok:
                 res.candidate = search_out.candidate.copy()
                 res.success = True
                 res.stage = "search"

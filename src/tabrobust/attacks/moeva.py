@@ -48,23 +48,6 @@ class SearchAttackOutput:
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def _gene_slots(schema: DatasetSchema) -> list[np.ndarray]:
-    """Mutable gene slots: single columns, or whole one-hot groups."""
-    grouped: set[int] = set()
-    slots: list[np.ndarray] = []
-    mutable = schema.mutable_mask()
-    for cols in schema.onehot_groups().values():
-        cols = np.array(cols)
-        grouped.update(cols.tolist())
-        if mutable[cols].all():
-            slots.append(cols)
-    for i in range(schema.n_features):
-        if i not in grouped and mutable[i]:
-            slots.append(np.array([i]))
-    slots.sort(key=lambda c: int(c[0]))
-    return slots
-
-
 def nondominated_sort(F: np.ndarray) -> np.ndarray:
     """Front index per row of an (n, m) objective matrix (minimization)."""
     n, m = F.shape
@@ -154,11 +137,11 @@ def moeva(
         np.random.SeedSequence([budget.seed, 0 if row_seed is None else row_seed])
     )
 
-    slots = _gene_slots(schema)
-    rules = assignment_fix_rules(cs, schema.mutable_mask())
+    mutable = schema.mutable_mask()
+    slots = [c for c in schema.column_slots() if mutable[c].all()]
+    rules = assignment_fix_rules(cs, mutable)
     lo, hi = schema.bounds()
     int_mask = schema.integer_mask()
-    mutable = schema.mutable_mask()
 
     def repair(pop: np.ndarray) -> np.ndarray:
         pop = project(pop, np.broadcast_to(z0, pop.shape), budget, schema, scaler)

@@ -19,19 +19,15 @@ from .engine import PenaltyConfig
 from .harness import (
     EmptyAttackSet,
     SweepSpec,
-    budget_sweep,
     evaluate,
 )
 from .mlp import ReferenceModel, TrainConfig, TrainingDiverged, train
 from .parser import ConstraintParseError, load_constraints, save_constraints
 from .report import (
-    EvaluationReport,
     emit_report,
     load_report,
     merge_leaderboard,
-    report_rows,
     write_leaderboard,
-    CSV_HEADER,
 )
 from .synth import InfeasibleSpec, SyntheticSpec, generate_synthetic
 
@@ -279,25 +275,14 @@ def cmd_sweep(args) -> int:
         except ValueError as e:
             raise CliError(f"bad --values: {e}") from None
     sweep = SweepSpec(axis=args.axis, values=values or [])
-    entries = budget_sweep(
-        model, cs, dataset, schema, sweep,
-        base_budget=budget, cfg=cfg, cap=args.cap, workers=args.workers,
-    )
-    clean = {"accuracy": float((model.predict(dataset.X) == dataset.y).mean())}
-    report = EvaluationReport(
-        model=args.name, defense=args.defense, seed=budget.seed,
-        clean=clean, attack_set_size=0, budgets=entries,
-        config={"axis": args.axis},
+    report = evaluate(
+        model, cs, dataset, schema, budget,
+        model_name=args.name, defense=args.defense,
+        cfg=cfg, cap=args.cap, workers=args.workers, sweep=sweep,
     )
     out = Path(args.out or "sweep.csv")
-    import csv as _csv
-
-    with open(out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in report_rows(report):
-            writer.writerow(row)
-    for e in entries:
+    emit_report(report, out, format="csv")
+    for e in report.budgets:
         print(
             f"{args.axis}={e.value}: robust acc constrained="
             f"{e.robust_accuracy_constrained:.4f}"

@@ -89,6 +89,16 @@ class DatasetSchema:
                 groups.setdefault(f.onehot_group, []).append(i)
         return groups
 
+    def column_slots(self) -> list[np.ndarray]:
+        """Column groups that change together: each one-hot group whole,
+        every other column alone, ordered by first column."""
+        groups = self.onehot_groups().values()
+        grouped = {i for cols in groups for i in cols}
+        slots = [np.array(cols) for cols in groups]
+        slots += [np.array([i]) for i in range(self.n_features) if i not in grouped]
+        slots.sort(key=lambda c: int(c[0]))
+        return slots
+
     @classmethod
     def generic(cls, n_features: int, critical_class: int = 1) -> "DatasetSchema":
         """Schema of n unconstrained continuous features named F0..F{n-1}."""

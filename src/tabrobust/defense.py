@@ -59,21 +59,6 @@ class ATConfig:
             raise ValueError("replay_fraction must be in [0, 1]")
 
 
-def _column_slots(schema: DatasetSchema) -> list[np.ndarray]:
-    """Column groups that must come wholly from one parent."""
-    grouped: set[int] = set()
-    slots: list[np.ndarray] = []
-    for cols in schema.onehot_groups().values():
-        cols = np.array(cols)
-        grouped.update(cols.tolist())
-        slots.append(cols)
-    for i in range(schema.n_features):
-        if i not in grouped:
-            slots.append(np.array([i]))
-    slots.sort(key=lambda c: int(c[0]))
-    return slots
-
-
 def mix_with_mask(
     xa: np.ndarray, ya: int, xb: np.ndarray, yb: int, mask: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -104,7 +89,7 @@ def cutmix_tabular(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if cfg is None:
         cfg = PenaltyConfig()
-    slots = _column_slots(schema)
+    slots = schema.column_slots()
     rules = (
         assignment_fix_rules(cs, schema.mutable_mask()) if cs is not None else []
     )

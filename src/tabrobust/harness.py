@@ -80,32 +80,6 @@ def select_attack_set(
     return indices
 
 
-def apply_attack(
-    model: ReferenceModel,
-    cs: ConstraintSet,
-    dataset: Dataset,
-    schema: DatasetSchema,
-    budget: AttackBudget,
-    indices: np.ndarray,
-    cfg: Optional[PenaltyConfig] = None,
-    workers: Optional[int] = None,
-    known_candidates: Optional[dict[int, np.ndarray]] = None,
-) -> AttackResult:
-    Z = model.scaler.transform(dataset.X[indices])
-    return caa(
-        model,
-        cs,
-        Z,
-        dataset.y[indices],
-        budget,
-        schema,
-        cfg=cfg,
-        row_indices=indices,
-        workers=workers,
-        known_candidates=known_candidates,
-    )
-
-
 def success_masks(
     result: AttackResult,
     model: ReferenceModel,
@@ -121,29 +95,89 @@ def success_masks(
     misclassified and fully valid; under unconstrained validation the
     domain-constraint check is waived (ball, mutability, and typing
     still apply). The constrained mask is recomputed from scratch here:
-    the harness never trusts the attack's own success flags.
+    the harness never trusts the attack's own success flags. Every
+    attempt of every sample is checked in one batch and reduced per
+    sample through its owner index.
     """
-    n = len(result.samples)
-    constrained = np.zeros(n, dtype=bool)
-    unconstrained = np.zeros(n, dtype=bool)
+    samples = result.samples
+    n = len(samples)
+    owner = np.array([i for i, s in enumerate(samples) for _ in s.attempts])
+    cand = np.array([a for s in samples for a in s.attempts.values()])
+    orig = np.array([samples[i].original for i in owner])
+    mis = model.predict_proba_scaled(cand).argmax(axis=1) != y[owner]
     scaler = model.scaler
-    for i, sample in enumerate(result.samples):
-        z_orig = sample.original[None]
-        for cand in sample.attempts.values():
-            cand2 = cand[None]
-            mis = bool(
-                model.predict_proba_scaled(cand2).argmax(axis=1)[0] != y[i]
-            )
-            if not mis:
-                continue
-            if validity_mask(schema, scaler, cs, z_orig, cand2, budget, cfg)[0]:
-                constrained[i] = True
-            if validity_mask(
-                schema, scaler, cs, z_orig, cand2, budget, cfg,
-                include_constraints=False,
-            )[0]:
-                unconstrained[i] = True
+    valid = validity_mask(schema, scaler, cs, orig, cand, budget, cfg)
+    loose = validity_mask(
+        schema, scaler, cs, orig, cand, budget, cfg, include_constraints=False
+    )
+    constrained = np.bincount(owner, weights=mis & valid, minlength=n) > 0
+    unconstrained = np.bincount(owner, weights=mis & loose, minlength=n) > 0
     return constrained, unconstrained
+
+
+def _budget_for(base: AttackBudget, axis: str, value: float) -> AttackBudget:
+    if axis == "eps":
+        return base.with_(eps=float(value))
+    if axis == "gradient_iters":
+        return base.with_(n_iter_gradient=int(value))
+    return base.with_(n_gen=int(value))
+
+
+def _attack_budgets(
+    model: ReferenceModel,
+    cs: ConstraintSet,
+    dataset: Dataset,
+    schema: DatasetSchema,
+    budget: AttackBudget,
+    indices: np.ndarray,
+    cfg: PenaltyConfig,
+    workers: Optional[int],
+    sweep: Optional[SweepSpec] = None,
+) -> tuple[list[BudgetEntry], list[AttackResult]]:
+    """The one evaluation path: attack, re-validate, and count, once per
+    budget.
+
+    Without a sweep `budget` is evaluated as given. With one, the sweep
+    values are processed in increasing order and each attack seeds its
+    candidate pool with every valid success found at a smaller budget,
+    so robust accuracy is non-increasing along the sweep by construction
+    (budgets only grow, and for the eps axis previously valid candidates
+    stay inside the larger ball).
+    """
+    if sweep is None:
+        points = [("eps", budget.eps, budget)]
+    else:
+        points = [
+            (sweep.axis, float(v), _budget_for(budget, sweep.axis, v))
+            for v in sorted(sweep.values)
+        ]
+    Z = model.scaler.transform(dataset.X[indices])
+    y = dataset.y[indices]
+    pool: dict[int, np.ndarray] = {}
+    entries, results = [], []
+    for axis, value, point in points:
+        result = caa(
+            model, cs, Z, y, point, schema,
+            cfg=cfg, row_indices=indices, workers=workers, known_candidates=pool,
+        )
+        con, uncon = success_masks(result, model, cs, schema, point, cfg, y)
+        for i, sample in enumerate(result.samples):
+            if con[i] and sample.row_index not in pool:
+                pool[sample.row_index] = sample.candidate.copy()
+        entries.append(
+            BudgetEntry(
+                axis=axis,
+                value=value,
+                budget=point.to_dict(),
+                robust_accuracy_constrained=1.0 - con.sum() / len(indices),
+                robust_accuracy_unconstrained=1.0 - uncon.sum() / len(indices),
+                n_success_constrained=int(con.sum()),
+                n_success_unconstrained=int(uncon.sum()),
+                wall_time=result.wall_time,
+            )
+        )
+        results.append(result)
+    return entries, results
 
 
 def robust_accuracy(
@@ -152,26 +186,17 @@ def robust_accuracy(
     dataset: Dataset,
     schema: DatasetSchema,
     budget: AttackBudget,
-    constrained_validation: bool = True,
     cfg: Optional[PenaltyConfig] = None,
     indices: Optional[np.ndarray] = None,
     workers: Optional[int] = None,
-    known_candidates: Optional[dict[int, np.ndarray]] = None,
 ) -> tuple[float, AttackResult]:
     """1 - (validated successes / attack-set size), plus raw outputs."""
-    if cfg is None:
-        cfg = PenaltyConfig()
     if indices is None:
         indices = select_attack_set(model, dataset, schema, seed=budget.seed)
-    result = apply_attack(
-        model, cs, dataset, schema, budget, indices,
-        cfg=cfg, workers=workers, known_candidates=known_candidates,
+    [entry], [result] = _attack_budgets(
+        model, cs, dataset, schema, budget, indices, cfg or PenaltyConfig(), workers
     )
-    con, uncon = success_masks(
-        result, model, cs, schema, budget, cfg, dataset.y[indices]
-    )
-    successes = con if constrained_validation else uncon
-    return 1.0 - successes.sum() / len(indices), result
+    return entry.robust_accuracy_constrained, result
 
 
 def evaluate(
@@ -185,27 +210,16 @@ def evaluate(
     cfg: Optional[PenaltyConfig] = None,
     cap: Optional[int] = DEFAULT_ATTACK_CAP,
     workers: Optional[int] = None,
+    sweep: Optional[SweepSpec] = None,
 ) -> EvaluationReport:
-    """Clean metrics plus robust accuracy at one budget."""
+    """Clean metrics plus robust accuracy at `budget`, or at each point
+    of `sweep` along one axis from `budget`."""
     if cfg is None:
         cfg = PenaltyConfig()
     clean = classification_metrics(dataset.y, model.predict_proba(dataset.X)[:, 1])
     indices = select_attack_set(model, dataset, schema, cap=cap, seed=budget.seed)
-    result = apply_attack(
-        model, cs, dataset, schema, budget, indices, cfg=cfg, workers=workers
-    )
-    con, uncon = success_masks(
-        result, model, cs, schema, budget, cfg, dataset.y[indices]
-    )
-    entry = BudgetEntry(
-        axis="eps",
-        value=budget.eps,
-        budget=budget.to_dict(),
-        robust_accuracy_constrained=1.0 - con.sum() / len(indices),
-        robust_accuracy_unconstrained=1.0 - uncon.sum() / len(indices),
-        n_success_constrained=int(con.sum()),
-        n_success_unconstrained=int(uncon.sum()),
-        wall_time=result.wall_time,
+    entries, _ = _attack_budgets(
+        model, cs, dataset, schema, budget, indices, cfg, workers, sweep
     )
     return EvaluationReport(
         model=model_name,
@@ -213,17 +227,9 @@ def evaluate(
         seed=budget.seed,
         clean=clean,
         attack_set_size=len(indices),
-        budgets=[entry],
+        budgets=entries,
         config={"tolerance": cfg.tolerance, "attack": budget.to_dict()},
     )
-
-
-def _budget_for(base: AttackBudget, axis: str, value: float) -> AttackBudget:
-    if axis == "eps":
-        return base.with_(eps=float(value))
-    if axis == "gradient_iters":
-        return base.with_(n_iter_gradient=int(value))
-    return base.with_(n_gen=int(value))
 
 
 def budget_sweep(
@@ -237,44 +243,12 @@ def budget_sweep(
     cap: Optional[int] = DEFAULT_ATTACK_CAP,
     workers: Optional[int] = None,
 ) -> list[BudgetEntry]:
-    """Run one robust-accuracy evaluation per sweep value.
-
-    Values are processed in increasing order; each evaluation seeds its
-    candidate pool with every valid success found at a smaller budget,
-    so robust accuracy is non-increasing along the sweep by
-    construction (budgets only grow, and for the eps axis previously
-    valid candidates stay inside the larger ball).
-    """
+    """Robust accuracy at each sweep value, without the clean metrics."""
     if base_budget is None:
         base_budget = AttackBudget()
-    if cfg is None:
-        cfg = PenaltyConfig()
     indices = select_attack_set(model, dataset, schema, cap=cap, seed=base_budget.seed)
-    y_attack = dataset.y[indices]
-    pool: dict[int, np.ndarray] = {}
-    entries = []
-    for value in sorted(sweep.values):
-        budget = _budget_for(base_budget, sweep.axis, value)
-        result = apply_attack(
-            model, cs, dataset, schema, budget, indices,
-            cfg=cfg, workers=workers, known_candidates=pool,
-        )
-        con, uncon = success_masks(
-            result, model, cs, schema, budget, cfg, y_attack
-        )
-        for i, sample in enumerate(result.samples):
-            if con[i] and sample.row_index not in pool:
-                pool[sample.row_index] = sample.candidate.copy()
-        entries.append(
-            BudgetEntry(
-                axis=sweep.axis,
-                value=float(value),
-                budget=budget.to_dict(),
-                robust_accuracy_constrained=1.0 - con.sum() / len(indices),
-                robust_accuracy_unconstrained=1.0 - uncon.sum() / len(indices),
-                n_success_constrained=int(con.sum()),
-                n_success_unconstrained=int(uncon.sum()),
-                wall_time=result.wall_time,
-            )
-        )
+    entries, _ = _attack_budgets(
+        model, cs, dataset, schema, base_budget, indices,
+        cfg or PenaltyConfig(), workers, sweep,
+    )
     return entries

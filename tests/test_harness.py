@@ -1,11 +1,13 @@
 """Harness protocol, sweeps, reports, and the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from tabrobust.attacks import AttackBudget
+from tabrobust import harness
+from tabrobust.attacks import AttackBudget, validity_mask
 from tabrobust.cli import main as cli_main
 from tabrobust.data import Dataset
 from tabrobust.engine import PenaltyConfig
@@ -115,6 +117,52 @@ class TestSweep:
         )
         ras = [e.robust_accuracy_constrained for e in entries]
         assert all(a >= b for a, b in zip(ras, ras[1:]))
+
+    def test_batched_success_masks_match_per_attempt_recount(
+        self, small_bench, monkeypatch
+    ):
+        model, dataset, schema, cs = small_bench
+        cfg = PenaltyConfig()
+        results = []
+        original = harness.caa
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "caa", recording)
+        entries = budget_sweep(
+            model, cs, dataset, schema,
+            SweepSpec(axis="eps", values=[0.25, 0.5]),
+            base_budget=BUDGET, cap=20,
+        )
+        result = results[1]
+        stages = {k for s in result.samples for k in s.attempts}
+        assert stages == {"carried", "gradient", "search"}
+
+        budget = AttackBudget.from_dict(entries[1].budget)
+        y = dataset.y[[s.row_index for s in result.samples]]
+        con, uncon = success_masks(result, model, cs, schema, budget, cfg, y)
+
+        # Reference: every attempt on its own, one row at a time.
+        ref_con = np.zeros(len(y), dtype=bool)
+        ref_uncon = np.zeros(len(y), dtype=bool)
+        for i, s in enumerate(result.samples):
+            for cand in s.attempts.values():
+                c, o = cand[None], s.original[None]
+                if model.predict_proba_scaled(c).argmax(axis=1)[0] == y[i]:
+                    continue
+                ref_con[i] |= validity_mask(
+                    schema, model.scaler, cs, o, c, budget, cfg
+                )[0]
+                ref_uncon[i] |= validity_mask(
+                    schema, model.scaler, cs, o, c, budget, cfg,
+                    include_constraints=False,
+                )[0]
+        assert np.array_equal(con, ref_con)
+        assert np.array_equal(uncon, ref_uncon)
+        assert con.any() and not con.all()
+        assert entries[1].n_success_constrained == ref_con.sum()
 
     def test_default_values(self):
         spec = SweepSpec(axis="gradient_iters")
@@ -231,8 +279,22 @@ class TestCli:
              "--seed", "2", "--out", str(out)]
         )
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 4  # header + 3 budget rows
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3  # one row per budget value
+
+        report_path = tmp_path / "report.json"
+        assert cli_main(
+            ["attack", "--model", str(model_path), "--data", str(cli_dataset),
+             "--n-gen", "1", "--cap", "10", "--seed", "2",
+             "--out", str(report_path)]
+        ) == 0
+        clean = json.loads(report_path.read_text())["clean"]
+        for row in rows:
+            assert int(row["attack_set_size"]) == 10
+            for metric in ("accuracy", "auc", "mcc", "precision", "recall"):
+                assert row[f"clean_{metric}"] != ""
+                assert float(row[f"clean_{metric}"]) == clean[metric]
 
     def test_report_merges_leaderboard(self, cli_dataset, tmp_path):
         model_path = tmp_path / "model.json"
