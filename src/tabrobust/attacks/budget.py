@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
-from typing import Union
 
 NORMS = ("L2", "Linf")
 
@@ -78,10 +75,6 @@ class AttackBudget:
         if "lambda" in d:
             kwargs["lam"] = d["lambda"]
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "AttackBudget":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def checkpoint_schedule(n_iter: int) -> list[int]:

@@ -151,12 +151,15 @@ def moeva(
             pop[:, ~mutable] = z0[~mutable]
         return pop
 
-    def evaluate(pop: np.ndarray) -> np.ndarray:
+    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives and the misclassification mask (argmax != y, the
+        rule every stage uses)."""
         probs = model.predict_proba_scaled(pop)
         f1 = probs[:, y]
         f2 = distance(pop, np.broadcast_to(z0, pop.shape), budget.norm)
         f3 = total_penalty(cs, scaler.inverse_transform(pop), cfg)
-        return np.stack([f1, np.atleast_1d(f2), np.atleast_1d(f3)], axis=1)
+        F = np.stack([f1, np.atleast_1d(f2), np.atleast_1d(f3)], axis=1)
+        return F, probs.argmax(axis=1) != y
 
     # Seed population: the original plus uniform perturbations of
     # radius eps/2 on mutable coordinates, repaired.
@@ -166,15 +169,14 @@ def moeva(
         noise[:, ~mutable] = 0.0
         pop[1:] += noise
         pop[1:] = repair(pop[1:])
-    F = evaluate(pop)
+    F, mis = evaluate(pop)
 
     best_key = None
     best = None
     success_found = False
 
-    def consider(pop_arr: np.ndarray, F_arr: np.ndarray) -> None:
+    def consider(pop_arr: np.ndarray, F_arr: np.ndarray, mis: np.ndarray) -> None:
         nonlocal best_key, best, success_found
-        mis = F_arr[:, 0] < 0.5
         in_box = np.all((pop_arr >= -1e-12) & (pop_arr <= 1.0 + 1e-12), axis=1)
         feasible = (
             (F_arr[:, 1] <= budget.eps + 1e-9)
@@ -192,7 +194,7 @@ def moeva(
             best = pop_arr[top].copy()
             success_found = bool(succ[top])
 
-    consider(pop, F)
+    consider(pop, F, mis)
     trace = [tuple(F.min(axis=0))]
     rank, crowd = rank_and_crowding(F)
 
@@ -205,8 +207,8 @@ def moeva(
         ]
         off = _mutate(rng, off, z0, slots, budget, scaler, lo, hi, int_mask)
         off = repair(off)
-        F_off = evaluate(off)
-        consider(off, F_off)
+        F_off, mis_off = evaluate(off)
+        consider(off, F_off, mis_off)
 
         merged = np.vstack([pop, off])
         F_merged = np.vstack([F, F_off])

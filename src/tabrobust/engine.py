@@ -4,8 +4,11 @@ Every constraint maps to a nonnegative, continuous penalty that is zero
 exactly when the constraint holds (strict inequalities via a small
 margin). Conjunction adds penalties, disjunction and implication take
 the minimum branch, which keeps the whole thing piecewise-smooth and
-subgradient-friendly. Penalties and their reverse-mode gradients are
-vectorized over row-major matrices.
+subgradient-friendly. Each constraint node is compiled once into a
+closure that returns its penalty and a reverse-mode backward step (see
+`tabrobust.expressions`); every function here runs those closures,
+vectorized over row-major matrices, with `PenaltyConfig.strict_margin`
+passed at call time.
 
 Constraints are evaluated in raw (unscaled) feature units; the default
 tolerance of 1e-2 absorbs float noise after unscaling.
@@ -19,17 +22,12 @@ from typing import Union
 import numpy as np
 
 from .expressions import (
-    And,
     Constraint,
     ConstraintSet,
     Feature,
-    Implies,
     NumExpr,
-    Or,
     Relation,
     _as_matrix,
-    _backward,
-    _forward,
     features_of,
 )
 
@@ -52,39 +50,6 @@ class PenaltyConfig:
 DEFAULT_PENALTY_CONFIG = PenaltyConfig()
 
 
-def _relation_residual(
-    c: Relation, X: np.ndarray, memo: dict, cfg: PenaltyConfig
-) -> np.ndarray:
-    """Signed residual r with penalty = |r| for == and max(0, r) otherwise."""
-    a = _forward(c.left, X, memo)
-    b = _forward(c.right, X, memo)
-    if c.op == "==":
-        return a - b
-    if c.op == "<=":
-        return a - b
-    if c.op == "<":
-        return a - b + cfg.strict_margin
-    if c.op == ">=":
-        return b - a
-    return b - a + cfg.strict_margin  # ">"
-
-
-def _penalty_forward(
-    c: Constraint, X: np.ndarray, memo: dict, cfg: PenaltyConfig
-) -> np.ndarray:
-    if isinstance(c, Relation):
-        r = _relation_residual(c, X, memo, cfg)
-        return np.abs(r) if c.op == "==" else np.maximum(0.0, r)
-    if isinstance(c, And):
-        return sum(_penalty_forward(ch, X, memo, cfg) for ch in c.children)
-    if isinstance(c, Or):
-        stacked = np.stack([_penalty_forward(ch, X, memo, cfg) for ch in c.children])
-        return np.min(stacked, axis=0)
-    if isinstance(c, Implies):
-        return _penalty_forward(Or((c.guard.negated(), c.body)), X, memo, cfg)
-    raise TypeError(f"unknown constraint node {type(c).__name__}")
-
-
 def penalty(
     c: Constraint,
     x: np.ndarray,
@@ -96,43 +61,8 @@ def penalty(
     (returns a length-n array).
     """
     X, single = _as_matrix(x)
-    val = _penalty_forward(c, X, {}, cfg)
+    val = c.compiled(X, cfg.strict_margin)[0]
     return float(val[0]) if single else val
-
-
-def _penalty_backward(
-    c: Constraint,
-    X: np.ndarray,
-    memo: dict,
-    adj: np.ndarray,
-    grad: np.ndarray,
-    cfg: PenaltyConfig,
-) -> None:
-    if isinstance(c, Relation):
-        r = _relation_residual(c, X, memo, cfg)
-        if c.op == "==":
-            d = np.sign(r)
-        else:
-            # Hinge: flat at the kink (the constant branch wins ties).
-            d = (r > 0).astype(float)
-        sign = 1.0 if c.op in ("==", "<=", "<") else -1.0
-        _backward(c.left, X, memo, adj * d * sign, grad)
-        _backward(c.right, X, memo, -adj * d * sign, grad)
-        return
-    if isinstance(c, And):
-        for ch in c.children:
-            _penalty_backward(ch, X, memo, adj, grad, cfg)
-        return
-    if isinstance(c, Or):
-        stacked = np.stack([_penalty_forward(ch, X, memo, cfg) for ch in c.children])
-        sel = np.argmin(stacked, axis=0)  # first child wins ties
-        for i, ch in enumerate(c.children):
-            _penalty_backward(ch, X, memo, adj * (sel == i).astype(float), grad, cfg)
-        return
-    if isinstance(c, Implies):
-        _penalty_backward(Or((c.guard.negated(), c.body)), X, memo, adj, grad, cfg)
-        return
-    raise TypeError(f"unknown constraint node {type(c).__name__}")
 
 
 def penalty_gradient(
@@ -142,10 +72,9 @@ def penalty_gradient(
 ) -> np.ndarray:
     """Reverse-mode d(penalty)/dx; a valid subgradient at kinks."""
     X, single = _as_matrix(x)
-    memo: dict = {}
-    _penalty_forward(c, X, memo, cfg)
+    _, backward = c.compiled(X, cfg.strict_margin)
     grad = np.zeros_like(X)
-    _penalty_backward(c, X, memo, np.ones(X.shape[0]), grad, cfg)
+    backward(np.ones(X.shape[0]), grad)
     return grad[0] if single else grad
 
 
@@ -158,7 +87,7 @@ def penalty_matrix(
     X, _ = _as_matrix(X)
     if len(cs) == 0:
         return np.zeros((X.shape[0], 0))
-    return np.stack([_penalty_forward(c, X, {}, cfg) for c in cs], axis=1)
+    return np.stack([c.compiled(X, cfg.strict_margin)[0] for c in cs], axis=1)
 
 
 def check(
@@ -196,9 +125,9 @@ def total_penalty_with_gradient(
     total = np.zeros(X.shape[0])
     grad = np.zeros_like(X)
     for c in cs:
-        memo: dict = {}
-        total += _penalty_forward(c, X, memo, cfg)
-        _penalty_backward(c, X, memo, np.ones(X.shape[0]), grad, cfg)
+        value, backward = c.compiled(X, cfg.strict_margin)
+        total += value
+        backward(np.ones(X.shape[0]), grad)
     if single:
         return float(total[0]), grad[0]
     return total, grad
@@ -251,9 +180,9 @@ def fix(
     Xm, single = _as_matrix(X)
     out = Xm.copy()
     for rule in rules:
-        violated = _penalty_forward(rule.guard, out, {}, cfg) > 0
+        violated = rule.guard.compiled(out, cfg.strict_margin)[0] > 0
         if np.any(violated):
-            values = _forward(rule.expr, out, {})
+            values = rule.expr.compiled(out)[0]
             out[violated, rule.target] = values[violated]
     return out[0] if single else out
 

@@ -3,14 +3,21 @@
 Numeric expressions (`NumExpr`) are arithmetic trees over named dataset
 features; constraints combine them with relational and boolean nodes.
 All nodes are immutable value objects, so trees can be shared freely
-across threads. Evaluation is vectorized over row-major feature
-matrices, and `eval_with_gradient` runs reverse-mode differentiation
-over the same tree.
+across threads.
+
+Every node is compiled once, the first time it is used, into a closure
+cached on the node (`compiled`). Called on a row-major feature matrix,
+the closure returns the node's values (a constraint's: its penalty)
+together with a backward step that adds adj * d(value)/dX into a
+gradient matrix. Each node type's value rule and derivative rule sit
+together in its `_compile`. `evaluate_expr`, `eval_with_gradient` and
+the penalty engine (`tabrobust.engine`) all run these closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -22,7 +29,79 @@ DIV_EPS = 1e-12
 LOG_EPS = 1e-12
 
 
-class NumExpr:
+class _Node:
+    __slots__ = ()
+
+    @cached_property
+    def compiled(self):
+        """The node's closure, built on first use. A numeric node's maps X
+        to (values, backward); a constraint's maps (X, strict_margin) to
+        (penalty, backward). backward(adj, grad) adds adj * d(value)/dX
+        into grad."""
+        return self._compile()
+
+
+def _no_backward(adj, grad):
+    pass
+
+
+def _binary(left, right, value, derivs):
+    """Closure of a two-child node: `value(a, b)` is its value and
+    `derivs(adj, a, b, out)` the adjoints of its children, which only
+    the backward step computes."""
+    left, right = left.compiled, right.compiled
+
+    def run(X):
+        a, back_a = left(X)
+        b, back_b = right(X)
+        out = value(a, b)
+
+        def backward(adj, grad):
+            adj_a, adj_b = derivs(adj, a, b, out)
+            back_a(adj_a, grad)
+            back_b(adj_b, grad)
+
+        return out, backward
+
+    return run
+
+
+def _unary(arg, value, deriv):
+    arg = arg.compiled
+
+    def run(X):
+        a, back = arg(X)
+        return value(a), lambda adj, grad: back(deriv(adj, a), grad)
+
+    return run
+
+
+def _extremum(children, reduce, select):
+    """Closure of Min, Max and a constraint Or: `reduce` over the
+    children's values, with the derivative flowing to the first child
+    that `select` picks (argmin/argmax take the first index on ties)."""
+    children = [c.compiled for c in children]
+
+    def run(X, *margin):
+        vals, backs = zip(*(c(X, *margin) for c in children))
+        stacked = np.stack(vals)
+
+        def backward(adj, grad):
+            sel = select(stacked, axis=0)
+            for i, back in enumerate(backs):
+                back(adj * (sel == i).astype(float), grad)
+
+        return reduce(stacked, axis=0), backward
+
+    return run
+
+
+def _clamp_denominator(den: np.ndarray) -> np.ndarray:
+    sign = np.where(den < 0, -1.0, 1.0)
+    return sign * np.maximum(np.abs(den), DIV_EPS)
+
+
+class NumExpr(_Node):
     """Base class for numeric expression nodes."""
 
     __slots__ = ()
@@ -32,10 +111,22 @@ class NumExpr:
 class Constant(NumExpr):
     value: float
 
+    def _compile(self):
+        value = self.value
+        return lambda X: (np.full(X.shape[0], value, dtype=float), _no_backward)
+
 
 @dataclass(frozen=True)
 class Feature(NumExpr):
     index: int
+
+    def _compile(self):
+        i = self.index
+
+        def backward(adj, grad):
+            grad[:, i] += adj
+
+        return lambda X: (X[:, i].astype(float, copy=True), backward)
 
 
 @dataclass(frozen=True)
@@ -43,11 +134,19 @@ class Add(NumExpr):
     left: NumExpr
     right: NumExpr
 
+    def _compile(self):
+        return _binary(self.left, self.right, np.add, lambda adj, a, b, out: (adj, adj))
+
 
 @dataclass(frozen=True)
 class Sub(NumExpr):
     left: NumExpr
     right: NumExpr
+
+    def _compile(self):
+        return _binary(
+            self.left, self.right, np.subtract, lambda adj, a, b, out: (adj, -adj)
+        )
 
 
 @dataclass(frozen=True)
@@ -55,11 +154,27 @@ class Mul(NumExpr):
     left: NumExpr
     right: NumExpr
 
+    def _compile(self):
+        return _binary(
+            self.left, self.right, np.multiply, lambda adj, a, b, out: (adj * b, adj * a)
+        )
+
 
 @dataclass(frozen=True)
 class SafeDiv(NumExpr):
     left: NumExpr
     right: NumExpr
+
+    def _compile(self):
+        def derivs(adj, num, den_raw, out):
+            den = _clamp_denominator(den_raw)
+            # Inside the clamp the output is constant in the denominator.
+            active = (np.abs(den_raw) >= DIV_EPS).astype(float)
+            return adj / den, -adj * num / (den * den) * active
+
+        return _binary(
+            self.left, self.right, lambda num, den: num / _clamp_denominator(den), derivs
+        )
 
 
 @dataclass(frozen=True)
@@ -67,15 +182,35 @@ class Pow(NumExpr):
     base: NumExpr
     exponent: NumExpr
 
+    def _compile(self):
+        def derivs(adj, base, exp, val):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dbase = np.where(base != 0.0, exp * val / base, 0.0)
+                # d/d_exp needs log(base); undefined for base <= 0.
+                dexp = np.where(base > 0.0, val * np.log(np.maximum(base, LOG_EPS)), 0.0)
+            return adj * np.nan_to_num(dbase), adj * dexp
+
+        return _binary(self.base, self.exponent, np.power, derivs)
+
 
 @dataclass(frozen=True)
 class Log(NumExpr):
     arg: NumExpr
 
+    def _compile(self):
+        return _unary(
+            self.arg,
+            lambda a: np.log(np.maximum(a, LOG_EPS)),
+            lambda adj, a: adj * (a >= LOG_EPS).astype(float) / np.maximum(a, LOG_EPS),
+        )
+
 
 @dataclass(frozen=True)
 class Abs(NumExpr):
     arg: NumExpr
+
+    def _compile(self):
+        return _unary(self.arg, np.abs, lambda adj, a: adj * np.sign(a))
 
 
 @dataclass(frozen=True)
@@ -87,6 +222,9 @@ class Min(NumExpr):
             raise ValueError("Min needs at least one argument")
         object.__setattr__(self, "args", tuple(self.args))
 
+    def _compile(self):
+        return _extremum(self.args, np.min, np.argmin)
+
 
 @dataclass(frozen=True)
 class Max(NumExpr):
@@ -97,6 +235,9 @@ class Max(NumExpr):
             raise ValueError("Max needs at least one argument")
         object.__setattr__(self, "args", tuple(self.args))
 
+    def _compile(self):
+        return _extremum(self.args, np.max, np.argmax)
+
 
 RELATION_OPS = ("==", "<=", "<", ">=", ">")
 
@@ -106,7 +247,7 @@ RELATION_OPS = ("==", "<=", "<", ">=", ">")
 FLIPPED_OP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 
 
-class Constraint:
+class Constraint(_Node):
     """Base class for constraint nodes."""
 
     __slots__ = ()
@@ -127,6 +268,30 @@ class Relation(Constraint):
             raise ValueError("equality relations cannot be negated")
         return Relation(FLIPPED_OP[self.op], self.left, self.right)
 
+    def _compile(self):
+        # Signed residual r: the penalty is |r| for == and the hinge
+        # max(0, r) otherwise; `sign` is dr/d(left).
+        left, right = self.left.compiled, self.right.compiled
+        equality, strict = self.op == "==", self.op in ("<", ">")
+        sign = 1.0 if self.op in ("==", "<=", "<") else -1.0
+
+        def run(X, margin):
+            a, back_a = left(X)
+            b, back_b = right(X)
+            r = a - b if sign > 0 else b - a
+            if strict:
+                r = r + margin
+
+            def backward(adj, grad):
+                # Hinge: flat at the kink (the constant branch wins ties).
+                d = np.sign(r) if equality else (r > 0).astype(float)
+                back_a(adj * d * sign, grad)
+                back_b(-adj * d * sign, grad)
+
+            return (np.abs(r) if equality else np.maximum(0.0, r)), backward
+
+        return run
+
 
 @dataclass(frozen=True)
 class And(Constraint):
@@ -137,6 +302,20 @@ class And(Constraint):
             raise ValueError("And needs at least one child")
         object.__setattr__(self, "children", tuple(self.children))
 
+    def _compile(self):
+        children = [c.compiled for c in self.children]
+
+        def run(X, margin):
+            vals, backs = zip(*(c(X, margin) for c in children))
+
+            def backward(adj, grad):
+                for back in backs:
+                    back(adj, grad)
+
+            return sum(vals), backward
+
+        return run
+
 
 @dataclass(frozen=True)
 class Or(Constraint):
@@ -146,6 +325,9 @@ class Or(Constraint):
         if len(self.children) < 1:
             raise ValueError("Or needs at least one child")
         object.__setattr__(self, "children", tuple(self.children))
+
+    def _compile(self):
+        return _extremum(self.children, np.min, np.argmin)
 
 
 @dataclass(frozen=True)
@@ -158,6 +340,9 @@ class Implies(Constraint):
             raise ValueError("implication guards must be plain relations")
         if self.guard.op == "==":
             raise ValueError("equality guards are not supported in implications")
+
+    def _compile(self):
+        return Or((self.guard.negated(), self.body)).compiled
 
 
 @dataclass
@@ -186,12 +371,6 @@ class ConstraintSet:
     def add(self, constraint: Constraint, source: Union[str, None] = None) -> None:
         self.constraints.append(constraint)
         self.source_text.append(source)
-
-    def max_feature_index(self) -> int:
-        indices = set()
-        for c in self.constraints:
-            indices |= features_of(c)
-        return max(indices) if indices else -1
 
 
 def features_of(node: Union[NumExpr, Constraint]) -> set[int]:
@@ -252,51 +431,8 @@ def evaluate_expr(expr: NumExpr, x: np.ndarray) -> Union[float, np.ndarray]:
     (n, d) matrix.
     """
     X, single = _as_matrix(x)
-    values = _forward(expr, X, {})
+    values = expr.compiled(X)[0]
     return float(values[0]) if single else values
-
-
-def _forward(expr: NumExpr, X: np.ndarray, memo: dict) -> np.ndarray:
-    """Forward pass; memoizes per-node values (keyed by identity) so a
-    subsequent backward pass can reuse them."""
-    key = id(expr)
-    if key in memo:
-        return memo[key]
-    if isinstance(expr, Constant):
-        val = np.full(X.shape[0], expr.value, dtype=float)
-    elif isinstance(expr, Feature):
-        val = X[:, expr.index].astype(float, copy=True)
-    elif isinstance(expr, Add):
-        val = _forward(expr.left, X, memo) + _forward(expr.right, X, memo)
-    elif isinstance(expr, Sub):
-        val = _forward(expr.left, X, memo) - _forward(expr.right, X, memo)
-    elif isinstance(expr, Mul):
-        val = _forward(expr.left, X, memo) * _forward(expr.right, X, memo)
-    elif isinstance(expr, SafeDiv):
-        num = _forward(expr.left, X, memo)
-        den = _clamp_denominator(_forward(expr.right, X, memo))
-        val = num / den
-    elif isinstance(expr, Pow):
-        base = _forward(expr.base, X, memo)
-        exp = _forward(expr.exponent, X, memo)
-        val = np.power(base, exp)
-    elif isinstance(expr, Log):
-        val = np.log(np.maximum(_forward(expr.arg, X, memo), LOG_EPS))
-    elif isinstance(expr, Abs):
-        val = np.abs(_forward(expr.arg, X, memo))
-    elif isinstance(expr, Min):
-        val = np.min(np.stack([_forward(a, X, memo) for a in expr.args]), axis=0)
-    elif isinstance(expr, Max):
-        val = np.max(np.stack([_forward(a, X, memo) for a in expr.args]), axis=0)
-    else:
-        raise TypeError(f"unknown expression node {type(expr).__name__}")
-    memo[key] = val
-    return val
-
-
-def _clamp_denominator(den: np.ndarray) -> np.ndarray:
-    sign = np.where(den < 0, -1.0, 1.0)
-    return sign * np.maximum(np.abs(den), DIV_EPS)
 
 
 def eval_with_gradient(expr: NumExpr, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,73 +444,9 @@ def eval_with_gradient(expr: NumExpr, x: np.ndarray) -> tuple[np.ndarray, np.nda
     for abs.
     """
     X, single = _as_matrix(x)
-    memo: dict = {}
-    value = _forward(expr, X, memo)
+    value, backward = expr.compiled(X)
     grad = np.zeros_like(X)
-    _backward(expr, X, memo, np.ones(X.shape[0]), grad)
+    backward(np.ones(X.shape[0]), grad)
     if single:
         return value[0], grad[0]
     return value, grad
-
-
-def _backward(
-    expr: NumExpr, X: np.ndarray, memo: dict, adj: np.ndarray, grad: np.ndarray
-) -> None:
-    if isinstance(expr, Constant):
-        return
-    if isinstance(expr, Feature):
-        grad[:, expr.index] += adj
-        return
-    if isinstance(expr, Add):
-        _backward(expr.left, X, memo, adj, grad)
-        _backward(expr.right, X, memo, adj, grad)
-        return
-    if isinstance(expr, Sub):
-        _backward(expr.left, X, memo, adj, grad)
-        _backward(expr.right, X, memo, -adj, grad)
-        return
-    if isinstance(expr, Mul):
-        lv = memo[id(expr.left)]
-        rv = memo[id(expr.right)]
-        _backward(expr.left, X, memo, adj * rv, grad)
-        _backward(expr.right, X, memo, adj * lv, grad)
-        return
-    if isinstance(expr, SafeDiv):
-        num = memo[id(expr.left)]
-        den_raw = memo[id(expr.right)]
-        den = _clamp_denominator(den_raw)
-        _backward(expr.left, X, memo, adj / den, grad)
-        # Inside the clamp the output is constant in the denominator.
-        active = (np.abs(den_raw) >= DIV_EPS).astype(float)
-        _backward(expr.right, X, memo, -adj * num / (den * den) * active, grad)
-        return
-    if isinstance(expr, Pow):
-        base = memo[id(expr.base)]
-        exp = memo[id(expr.exponent)]
-        val = memo[id(expr)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dbase = np.where(base != 0.0, exp * val / base, 0.0)
-            # d/d_exp needs log(base); undefined for base <= 0.
-            dexp = np.where(base > 0.0, val * np.log(np.maximum(base, LOG_EPS)), 0.0)
-        _backward(expr.base, X, memo, adj * np.nan_to_num(dbase), grad)
-        _backward(expr.exponent, X, memo, adj * dexp, grad)
-        return
-    if isinstance(expr, Log):
-        arg = memo[id(expr.arg)]
-        active = (arg >= LOG_EPS).astype(float)
-        _backward(expr.arg, X, memo, adj * active / np.maximum(arg, LOG_EPS), grad)
-        return
-    if isinstance(expr, Abs):
-        arg = memo[id(expr.arg)]
-        _backward(expr.arg, X, memo, adj * np.sign(arg), grad)
-        return
-    if isinstance(expr, (Min, Max)):
-        stacked = np.stack([memo[id(a)] for a in expr.args])
-        # argmin/argmax pick the first index on ties.
-        sel = np.argmin(stacked, axis=0) if isinstance(expr, Min) else np.argmax(
-            stacked, axis=0
-        )
-        for i, a in enumerate(expr.args):
-            _backward(a, X, memo, adj * (sel == i).astype(float), grad)
-        return
-    raise TypeError(f"unknown expression node {type(expr).__name__}")

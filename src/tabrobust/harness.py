@@ -49,6 +49,8 @@ class SweepSpec:
             self.values = list(SWEEP_DEFAULTS[self.axis])
         if any(v <= 0 for v in self.values):
             raise ValueError("sweep values must be positive")
+        if self.axis != "eps" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"{self.axis} sweep values must be integers")
 
 
 class EmptyAttackSet(ValueError):

@@ -94,9 +94,6 @@ class ReferenceModel:
             raise ValueError("model has no fitted scaler; use predict_proba_scaled")
         return self.predict_proba_scaled(self.scaler.transform(X))
 
-    def predict_scaled(self, Z: np.ndarray) -> np.ndarray:
-        return self.predict_proba_scaled(Z).argmax(axis=1)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
 

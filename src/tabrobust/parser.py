@@ -234,15 +234,6 @@ def parse_constraint(
     return _Parser(tokens, schema, line).parse_constraint()
 
 
-def parse_expression(text: str, schema: DatasetSchema, line: int = 1) -> NumExpr:
-    """Parse a bare numeric expression (no relational operator)."""
-    parser = _Parser(_tokenize(text, line), schema, line)
-    node = parser.parse_expr()
-    if parser.current.kind != "end":
-        raise parser.error(f"unexpected trailing input {parser.current.text!r}")
-    return node
-
-
 def load_constraints(
     path: Union[str, Path], schema: DatasetSchema
 ) -> ConstraintSet:

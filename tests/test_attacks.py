@@ -318,6 +318,17 @@ class TestMoeva:
         f3 = np.array([t[2] for t in out.trace])
         assert np.all(np.diff(f3) <= 1e-12)
 
+    def test_exact_tie_uses_argmax_rule(self):
+        # A zero-weight model gives probabilities exactly [0.5, 0.5]:
+        # argmax is class 0, so a valid row with y = 1 is misclassified
+        # and already a success.
+        schema = continuous_schema(2)
+        model = linear_model([0.0, 0.0], 0.0, identity_scaler(2))
+        budget = AttackBudget(eps=0.3, n_gen=2, n_pop=6, n_off=4, seed=0)
+        out = moeva(model, ConstraintSet(), np.array([0.5, 0.5]), 1, budget, schema,
+                    row_seed=0)
+        assert out.misclassified and out.success
+
     def test_reproducible_for_fixed_seed(self):
         schema, model, cs = self.toy()
         budget = AttackBudget(eps=0.3, n_gen=10, n_pop=20, n_off=16, seed=9)

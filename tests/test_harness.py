@@ -171,6 +171,8 @@ class TestSweep:
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
             SweepSpec(axis="zeps")
+        with pytest.raises(ValueError, match="integers"):
+            SweepSpec(axis="search_iters", values=[2.2, 2.7])
 
 
 class TestReports:
@@ -261,6 +263,20 @@ class TestCli:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_main(["synth", "--bogus"]) == 1
+
+    def test_non_integer_iteration_sweep_exits_one(self, cli_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert cli_main(
+            ["train", "--data", str(cli_dataset), "--epochs", "1",
+             "--seed", "1", "--out", str(model_path)]
+        ) == 0
+        code = cli_main(
+            ["sweep", "--model", str(model_path), "--data", str(cli_dataset),
+             "--axis", "search_iters", "--values", "2.5",
+             "--out", str(tmp_path / "sweep.csv")]
+        )
+        assert code == 1
+        assert "must be integers" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
