@@ -31,8 +31,8 @@ class AttackBudget:
     def __post_init__(self):
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be finite and nonnegative")
         if self.n_iter_gradient < 1 or self.n_off < 1 or self.n_pop < 1:
             raise ValueError("iteration and population counts must be positive")
         if self.n_gen < 0:
@@ -66,12 +66,11 @@ class AttackBudget:
             "n_pop",
             "seed",
             "lambda",
-            "tolerance",
         }
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown attack config keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in d.items() if k not in ("lambda", "tolerance")}
+        kwargs = {k: v for k, v in d.items() if k != "lambda"}
         if "lambda" in d:
             kwargs["lam"] = d["lambda"]
         return cls(**kwargs)

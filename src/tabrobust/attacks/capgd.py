@@ -32,7 +32,7 @@ from ..engine import (
     total_penalty_with_gradient,
 )
 from ..expressions import ConstraintSet
-from ..mlp import ReferenceModel
+from ..mlp import ReferenceModel, cross_entropy
 from .budget import AttackBudget, checkpoint_schedule
 from .projection import distance, project
 
@@ -59,25 +59,13 @@ def _objective_pieces(
     y: np.ndarray,
     lam: np.ndarray,
     cfg: PenaltyConfig,
-    with_grad: bool,
 ):
-    """(objective, gradient, ce, penalty, misclassified) at Z."""
-    raw = scaler.inverse_transform(Z)
-    if with_grad:
-        pen, pen_grad_raw = total_penalty_with_gradient(cs, raw, cfg)
-        pen_grad = pen_grad_raw * scaler.width_
-    else:
-        pen = total_penalty(cs, raw, cfg)
-        pen_grad = None
-    ce = model.cross_entropy(Z, y)
-    obj = ce - lam * pen
-    grad = None
-    if with_grad:
-        ce_grad = model.input_gradient(Z, y)
-        grad = ce_grad - lam[:, None] * pen_grad
+    """(objective, gradient, penalty, misclassified) at Z."""
+    pen, pen_grad_raw = total_penalty_with_gradient(cs, scaler.inverse_transform(Z), cfg)
     probs = model.predict_proba_scaled(Z)
-    mis = probs.argmax(axis=1) != y
-    return obj, grad, ce, pen, mis
+    obj = cross_entropy(probs, y) - lam * pen
+    grad = model.input_gradient(Z, y) - lam[:, None] * (pen_grad_raw * scaler.width_)
+    return obj, grad, pen, probs.argmax(axis=1) != y
 
 
 def _step_direction(grad: np.ndarray, norm: str) -> np.ndarray:
@@ -162,9 +150,7 @@ def capgd(
         best_cand[better] = z_fixed[better]
         best_key[better] = key_f[better]
 
-    obj, grad, _, _, _ = _objective_pieces(
-        model, cs, scaler, Z0, y, lam, cfg, with_grad=True
-    )
+    obj, grad, _, _ = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
     z_cur = Z0.copy()
     z_prev = Z0.copy()
     obj_cur = obj
@@ -180,8 +166,8 @@ def capgd(
         )
         z_next = project(blended, Z0, budget, schema, scaler)
 
-        obj_next, grad_next, _, pen_next, mis_next = _objective_pieces(
-            model, cs, scaler, z_next, y, lam, cfg, with_grad=True
+        obj_next, grad_next, pen_next, mis_next = _objective_pieces(
+            model, cs, scaler, z_next, y, lam, cfg
         )
         dist_next = distance(z_next, Z0, budget.norm)
         key_next = candidate_key(mis_next, pen_next, dist_next)
@@ -210,8 +196,8 @@ def capgd(
                 z_cur[stalled] = best_obj_point[stalled]
                 z_prev = z_prev.copy()
                 z_prev[stalled] = best_obj_point[stalled]
-                obj_s, grad_s, _, _, _ = _objective_pieces(
-                    model, cs, scaler, z_cur, y, lam, cfg, with_grad=True
+                obj_s, grad_s, _, _ = _objective_pieces(
+                    model, cs, scaler, z_cur, y, lam, cfg
                 )
                 obj_cur = np.where(stalled, obj_s, obj_cur)
                 grad = np.where(stalled[:, None], grad_s, grad)

@@ -246,20 +246,17 @@ def _crossover_batch(
     (child1_of_pair0, child2_of_pair0, child1_of_pair1, ...).
     """
     k, d = PA.shape
-    c1, c2 = PA.copy(), PB.copy()
+    swap_cols = np.zeros((k, d), dtype=bool)
     n_slots = len(slots)
     if n_slots >= 2:
         pts = np.sort(rng.integers(0, n_slots + 1, size=(k, 2)), axis=1)
         slot_ids = np.arange(n_slots)
         swap = (slot_ids[None, :] >= pts[:, :1]) & (slot_ids[None, :] < pts[:, 1:])
-        for s, cols in enumerate(slots):
-            rows = swap[:, s]
-            if rows.any():
-                c1[np.ix_(rows, cols)] = PB[np.ix_(rows, cols)]
-                c2[np.ix_(rows, cols)] = PA[np.ix_(rows, cols)]
+        sizes = [len(cols) for cols in slots]
+        swap_cols[:, np.concatenate(slots)] = np.repeat(swap, sizes, axis=1)
     out = np.empty((2 * k, d))
-    out[0::2] = c1
-    out[1::2] = c2
+    out[0::2] = np.where(swap_cols, PB, PA)
+    out[1::2] = np.where(swap_cols, PA, PB)
     return out
 
 

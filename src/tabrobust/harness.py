@@ -11,6 +11,7 @@ contains has been re-validated here, outside the attack code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,8 +48,8 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not self.values:
             self.values = list(SWEEP_DEFAULTS[self.axis])
-        if any(v <= 0 for v in self.values):
-            raise ValueError("sweep values must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.values):
+            raise ValueError("sweep values must be finite and positive")
         if self.axis != "eps" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.axis} sweep values must be integers")
 

@@ -19,18 +19,12 @@ def auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC is undefined when y_true has a single class")
     order = np.argsort(y_score, kind="stable")
-    ranks = np.empty(len(y_score), dtype=float)
     sorted_scores = y_score[order]
-    i = 0
-    rank = 1
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        midrank = 0.5 * (rank + rank + (j - i))
-        ranks[order[i : j + 1]] = midrank
-        rank += j - i + 1
-        i = j + 1
+    # Tie groups of the sorted scores: each one's first position and size.
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    counts = np.diff(np.r_[starts, len(sorted_scores)])
+    ranks = np.empty(len(y_score), dtype=float)
+    ranks[order] = np.repeat(0.5 * (2 * (starts + 1) + (counts - 1)), counts)
     rank_sum_pos = float(ranks[y_true == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

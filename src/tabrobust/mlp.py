@@ -28,6 +28,11 @@ class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
+def cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of the true class, from class probabilities."""
+    return -np.log(probs[np.arange(len(y)), y] + 1e-12)
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -105,8 +110,7 @@ class ReferenceModel:
         y = np.atleast_1d(np.asarray(y, dtype=int))
         n = Z.shape[0]
         probs, acts = self._forward(Z)
-        eps = 1e-12
-        loss = float(-np.mean(np.log(probs[np.arange(n), y] + eps)))
+        loss = float(np.mean(cross_entropy(probs, y)))
 
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
@@ -131,13 +135,6 @@ class ReferenceModel:
         n = Z.shape[0]
         _, _, _, g = self.loss_and_gradients(Z, y)
         return g * n
-
-    def cross_entropy(self, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-row cross-entropy of the true class, in scaled space."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=int))
-        probs = self.predict_proba_scaled(Z)
-        return -np.log(probs[np.arange(Z.shape[0]), y] + 1e-12)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -175,9 +172,7 @@ class ReferenceModel:
 @dataclass
 class EpochStats:
     epoch: int
-    train_loss: float
     val_loss: float
-    train_auc: float
     val_auc: float
 
 
@@ -269,14 +264,11 @@ def train(
                 v += (1.0 - cfg.adam_beta2) * g * g
                 p -= lr_t * m / (np.sqrt(v) + cfg.adam_eps)
 
-        train_probs = model.predict_proba_scaled(Z_train)[:, 1]
-        val_probs = model.predict_proba_scaled(Z_val)[:, 1]
+        val_probs = model.predict_proba_scaled(Z_val)
         stats = EpochStats(
             epoch=epoch,
-            train_loss=float(np.mean(model.cross_entropy(Z_train, y_train))),
-            val_loss=float(np.mean(model.cross_entropy(Z_val, y_val))),
-            train_auc=auc_score(y_train, train_probs),
-            val_auc=auc_score(y_val, val_probs),
+            val_loss=float(np.mean(cross_entropy(val_probs, y_val))),
+            val_auc=auc_score(y_val, val_probs[:, 1]),
         )
         history.epochs.append(stats)
         if stats.val_auc > best_auc or (

@@ -1,5 +1,7 @@
 """Attacks: schedule, projection, gradient stage, search stage, ensemble."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from tabrobust.attacks import (
     project,
     validity_mask,
 )
-from tabrobust.attacks.moeva import nondominated_sort, survival_select
+from tabrobust.attacks.moeva import _crossover_batch, nondominated_sort, survival_select
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
 from tabrobust.engine import PenaltyConfig
 from tabrobust.expressions import ConstraintSet
@@ -73,10 +75,14 @@ class TestAttackBudget:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown attack config"):
             AttackBudget.from_dict({"epsilon": 1.0})
+        with pytest.raises(ValueError, match="unknown attack config"):
+            AttackBudget.from_dict({"tolerance": 0.01})
 
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             AttackBudget(eps=-1)
+        with pytest.raises(ValueError, match="finite"):
+            AttackBudget(eps=float("nan"))
         with pytest.raises(ValueError):
             AttackBudget(norm="L1")
 
@@ -242,6 +248,35 @@ class TestCapgd:
         out2 = capgd(model, cs, Z, dataset.y[idx], budget, schema)
         assert np.array_equal(out1.candidates, out2.candidates)
 
+    def test_two_forward_passes_per_objective_evaluation(self, small_bench, monkeypatch):
+        # One probability pass gives the loss and the misclassification
+        # mask; the input gradient makes the other.
+        capgd_module = importlib.import_module("tabrobust.attacks.capgd")
+        model, dataset, schema, cs = small_bench
+        forwards = [0]
+        per_call = []
+        forward = ReferenceModel._forward
+        pieces = capgd_module._objective_pieces
+
+        def counting_forward(self, Z):
+            forwards[0] += 1
+            return forward(self, Z)
+
+        def counting_pieces(*args, **kwargs):
+            before = forwards[0]
+            out = pieces(*args, **kwargs)
+            per_call.append(forwards[0] - before)
+            return out
+
+        monkeypatch.setattr(ReferenceModel, "_forward", counting_forward)
+        monkeypatch.setattr(capgd_module, "_objective_pieces", counting_pieces)
+        budget = AttackBudget(eps=0.5, seed=0)
+        idx = select_attack_set(model, dataset, schema, cap=5, seed=0)
+        capgd(model, cs, model.scaler.transform(dataset.X[idx]), dataset.y[idx],
+              budget, schema)
+        assert len(per_call) > budget.n_iter_gradient
+        assert per_call == [2] * len(per_call)
+
 
 class TestNondominatedSort:
     def test_simple_fronts(self):
@@ -270,6 +305,56 @@ class TestNondominatedSort:
         kept = F[keep]
         front0 = F[nondominated_sort(F) == 0]
         assert front0[:, 2].min() == kept[:, 2].min()
+
+
+def crossover_by_slot(rng, PA, PB, slots):
+    """The per-slot crossover _crossover_batch used to run, kept as its
+    bit-exact reference."""
+    k, d = PA.shape
+    c1, c2 = PA.copy(), PB.copy()
+    n_slots = len(slots)
+    if n_slots >= 2:
+        pts = np.sort(rng.integers(0, n_slots + 1, size=(k, 2)), axis=1)
+        slot_ids = np.arange(n_slots)
+        swap = (slot_ids[None, :] >= pts[:, :1]) & (slot_ids[None, :] < pts[:, 1:])
+        for s, cols in enumerate(slots):
+            rows = swap[:, s]
+            if rows.any():
+                c1[np.ix_(rows, cols)] = PB[np.ix_(rows, cols)]
+                c2[np.ix_(rows, cols)] = PA[np.ix_(rows, cols)]
+    out = np.empty((2 * k, d))
+    out[0::2] = c1
+    out[1::2] = c2
+    return out
+
+
+class TestCrossover:
+    def test_bit_exact_against_per_slot_loop(self):
+        # Two one-hot groups and two immutable columns, which sit in no slot.
+        schema = DatasetSchema([
+            FeatureMetadata("x0"),
+            FeatureMetadata("g_a", "categorical", 0, 1, onehot_group="g"),
+            FeatureMetadata("x1", mutable=False),
+            FeatureMetadata("g_b", "categorical", 0, 1, onehot_group="g"),
+            FeatureMetadata("x2"),
+            FeatureMetadata("h_a", "categorical", 0, 1, onehot_group="h"),
+            FeatureMetadata("h_b", "categorical", 0, 1, onehot_group="h"),
+            FeatureMetadata("x3", mutable=False),
+            FeatureMetadata("x4", "integer", 0, 9),
+        ])
+        mutable = schema.mutable_mask()
+        slots = [c for c in schema.column_slots() if mutable[c].all()]
+        assert len(slots) == 5
+        for seed in range(30):
+            data_rng = np.random.default_rng(seed)
+            k = int(data_rng.integers(1, 12))
+            PA = data_rng.uniform(0, 1, (k, schema.n_features))
+            PB = data_rng.uniform(0, 1, (k, schema.n_features))
+            for use in (slots, slots[:1], []):
+                rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+                out = _crossover_batch(rng_new, PA, PB, use)
+                assert np.array_equal(out, crossover_by_slot(rng_old, PA, PB, use))
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestMoeva:

@@ -173,6 +173,8 @@ class TestSweep:
             SweepSpec(axis="zeps")
         with pytest.raises(ValueError, match="integers"):
             SweepSpec(axis="search_iters", values=[2.2, 2.7])
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(axis="eps", values=[float("nan"), 0.5])
 
 
 class TestReports:
@@ -277,6 +279,23 @@ class TestCli:
         )
         assert code == 1
         assert "must be integers" in capsys.readouterr().err
+
+    def test_nan_eps_exits_one(self, cli_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert cli_main(
+            ["train", "--data", str(cli_dataset), "--epochs", "1",
+             "--seed", "1", "--out", str(model_path)]
+        ) == 0
+        common = ["--model", str(model_path), "--data", str(cli_dataset), "--cap", "5"]
+        for argv in (
+            ["sweep", "--axis", "eps", "--values", "nan",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["attack", "--eps", "nan", "--n-gen", "2",
+             "--out", str(tmp_path / "report.json")],
+        ):
+            capsys.readouterr()
+            assert cli_main(argv + common) == 1
+            assert "finite" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

@@ -20,6 +20,29 @@ def auc_pairwise(y_true, y_score):
     return total / (len(pos) * len(neg))
 
 
+def auc_by_loop(y_true, y_score):
+    """The midrank loop auc_score used to run, kept as its bit-exact reference."""
+    y_true = np.asarray(y_true, dtype=int)
+    y_score = np.asarray(y_score, dtype=float)
+    n_pos = int(np.sum(y_true == 1))
+    n_neg = int(np.sum(y_true == 0))
+    order = np.argsort(y_score, kind="stable")
+    ranks = np.empty(len(y_score), dtype=float)
+    sorted_scores = y_score[order]
+    i = 0
+    rank = 1
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        midrank = 0.5 * (rank + rank + (j - i))
+        ranks[order[i : j + 1]] = midrank
+        rank += j - i + 1
+        i = j + 1
+    rank_sum_pos = float(ranks[y_true == 1].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def mcc_contingency(y_true, y_pred):
     tp = fn = fp = tn = 0
     for t, p in zip(y_true, y_pred):
@@ -62,6 +85,24 @@ class TestAuc:
             # Coarse grid scores force plenty of ties.
             s = rng.integers(0, 5, n) / 4.0
             assert abs(auc_score(y, s) - auc_pairwise(y, s)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_exact_against_midrank_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(2, 300))
+            y = rng.integers(0, 2, n)
+            y[:2] = rng.permutation([0, 1])
+            scores = rng.uniform(0, 1, n)
+            cases = {
+                "tie-heavy": np.round(scores, 1),
+                "tie-free": scores,
+                "all tied": np.full(n, scores[0]),
+                "two rows": scores[:2],
+            }
+            for name, s in cases.items():
+                labels = y[: len(s)]
+                assert auc_score(labels, s) == auc_by_loop(labels, s), name
 
 
 class TestMcc:

@@ -162,6 +162,28 @@ class TestTrain:
         assert history.best_epoch >= 0
         assert history.best_val_auc == max(e.val_auc for e in history.epochs)
 
+    def test_one_validation_forward_pass_per_epoch(self, monkeypatch):
+        # Batch steps aside, each epoch runs the network once, over the
+        # validation split only.
+        dataset = toy_dataset()
+        cfg = TrainConfig(epochs=3, batch_size=64, seed=2)
+        _, val_idx = stratified_split(
+            dataset.y, cfg.validation_fraction, np.random.default_rng(cfg.seed)
+        )
+        n_train = dataset.n_rows - len(val_idx)
+        starts = range(0, n_train, cfg.batch_size)
+        batches = [min(cfg.batch_size, n_train - s) for s in starts]
+        rows = []
+        forward = ReferenceModel._forward
+
+        def counting_forward(self, Z):
+            rows.append(len(Z))
+            return forward(self, Z)
+
+        monkeypatch.setattr(ReferenceModel, "_forward", counting_forward)
+        train(ReferenceModel(2, seed=2), dataset, cfg, schema=toy_schema())
+        assert rows == (batches + [len(val_idx)]) * cfg.epochs
+
     def test_stratified_split_preserves_classes(self):
         y = np.array([0] * 80 + [1] * 20)
         rng = np.random.default_rng(0)
