@@ -1,12 +1,14 @@
 """Two-stage attack ensemble: gradient first, search on the leftovers.
 
-The gradient attack runs batched over every sample; candidates that are
-misclassified AND independently validated are finalized. All remaining
-samples go to the search attack (parallel per sample, one RNG stream
-per row). The final candidate per sample is the first valid success
-either stage produced, otherwise the original input. Per-stage best
-attempts are kept so the harness can re-validate the same outputs under
-different validation modes (e.g. ignoring domain constraints).
+Rows carrying a candidate from an earlier budget are settled first; the
+gradient attack then runs batched over the rest, and the search attack
+runs row by row (one RNG stream per row) on whatever is still not
+attacked. Every stage's candidates go through one settle step: one
+batched validation, the attempt recorded, and a row finalized by the
+first stage whose candidate is misclassified and valid. Rows no stage
+wins keep the original input. Per-stage best attempts are kept so the
+harness can re-validate the same outputs under different validation
+modes (e.g. ignoring domain constraints).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from ..data import DatasetSchema
-from ..engine import PenaltyConfig
+from ..engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from ..expressions import ConstraintSet
 from ..mlp import ReferenceModel
-from ..parallel import seeded_parallel_map
 from .budget import AttackBudget
 from .capgd import capgd
 from .moeva import moeva
@@ -33,19 +34,17 @@ class SampleResult:
     """Outcome for one attacked row (all vectors in scaled space).
 
     `candidate` is the finalized output: a fully valid misclassifying
-    example when one was found (success True), else the original.
-    `attempts` holds each stage's best candidate before reversion;
-    `misclassified` and `valid` describe the attempt that decided the
-    outcome (so success == misclassified and valid).
+    example when one was found (success True, `stage` names the stage
+    that found it), else the original. `attempts` holds each stage's
+    best candidate before reversion, in stage order; a carried
+    candidate appears only when it won.
     """
 
     row_index: int
     original: np.ndarray
     candidate: np.ndarray
-    success: bool
-    misclassified: bool
-    valid: bool
-    stage: Optional[str]
+    success: bool = False
+    stage: Optional[str] = None
     attempts: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -61,9 +60,6 @@ class AttackResult:
     def success_indices(self) -> set[int]:
         return {s.row_index for s in self.samples if s.success}
 
-    def candidates(self) -> np.ndarray:
-        return np.array([s.candidate for s in self.samples])
-
 
 def caa(
     model: ReferenceModel,
@@ -72,9 +68,8 @@ def caa(
     y: np.ndarray,
     budget: AttackBudget,
     schema: DatasetSchema,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     row_indices: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
     known_candidates: Optional[dict[int, np.ndarray]] = None,
 ) -> AttackResult:
     """Attack a batch of scaled rows (assumed correctly classified).
@@ -84,92 +79,52 @@ def caa(
     finalized without re-attacking (budget sweeps reuse successes from
     smaller budgets this way).
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
-    n = Z.shape[0]
     if row_indices is None:
-        row_indices = np.arange(n)
-    scaler = model.scaler
+        row_indices = np.arange(Z.shape[0])
     start = time.perf_counter()
-
-    results: list[Optional[SampleResult]] = [None] * n
-
-    carried = [
-        i for i in range(n)
-        if known_candidates and int(row_indices[i]) in known_candidates
+    samples = [
+        SampleResult(row_index=int(r), original=z.copy(), candidate=z.copy())
+        for r, z in zip(row_indices, Z)
     ]
-    if carried:
-        idx = np.array(carried)
-        cands = np.array(
-            [known_candidates[int(row_indices[i])] for i in carried], dtype=float
-        )
-        hits = validity_mask(schema, scaler, cs, Z[idx], cands, budget, cfg)
-        hits &= model.predict_proba_scaled(cands).argmax(axis=1) != y[idx]
+
+    def settle(stage: str, idx: np.ndarray, cands: np.ndarray, mis: np.ndarray) -> None:
+        """Record each row's attempt and finalize the rows it wins. A
+        carried candidate comes from another budget, so it is recorded
+        only when it wins at this one."""
+        hits = mis & validity_mask(schema, model.scaler, cs, Z[idx], cands, budget, cfg)
         for i, cand, hit in zip(idx, cands, hits):
+            if hit or stage != "carried":
+                samples[i].attempts[stage] = cand.copy()
             if hit:
-                results[i] = SampleResult(
-                    row_index=int(row_indices[i]),
-                    original=Z[i].copy(),
-                    candidate=cand.copy(),
-                    success=True,
-                    misclassified=True,
-                    valid=True,
-                    stage="carried",
-                    attempts={"carried": cand.copy()},
-                )
-    pending = [i for i in range(n) if results[i] is None]
+                samples[i].candidate = cand.copy()
+                samples[i].success, samples[i].stage = True, stage
 
-    if pending:
-        idx = np.array(pending)
-        grad_out = capgd(model, cs, Z[idx], y[idx], budget, schema, cfg)
-        grad_valid = validity_mask(
-            schema, scaler, cs, Z[idx], grad_out.candidates, budget, cfg
+    def pending() -> np.ndarray:
+        return np.array([i for i, s in enumerate(samples) if not s.success], dtype=int)
+
+    known = known_candidates or {}
+    idx = np.array([i for i, r in enumerate(row_indices) if int(r) in known], dtype=int)
+    if idx.size:
+        cands = np.array([known[int(row_indices[i])] for i in idx], dtype=float)
+        settle("carried", idx, cands, model.predict_proba_scaled(cands).argmax(axis=1) != y[idx])
+
+    idx = pending()
+    if idx.size:
+        out = capgd(model, cs, Z[idx], y[idx], budget, schema, cfg)
+        settle("gradient", idx, out.candidates, out.misclassified)
+
+    idx = pending()
+    if budget.n_gen > 0 and idx.size:
+        outs = [
+            moeva(model, cs, Z[i], int(y[i]), budget, schema, cfg, row_seed=int(row_indices[i]))
+            for i in idx
+        ]
+        settle(
+            "search", idx,
+            np.array([o.candidate for o in outs]),
+            np.array([o.misclassified for o in outs]),
         )
-        for pos, i in enumerate(idx):
-            cand = grad_out.candidates[pos]
-            mis = bool(grad_out.misclassified[pos])
-            valid = bool(grad_valid[pos])
-            hit = mis and valid
-            results[i] = SampleResult(
-                row_index=int(row_indices[i]),
-                original=Z[i].copy(),
-                candidate=cand.copy() if hit else Z[i].copy(),
-                success=hit,
-                misclassified=mis,
-                valid=valid,
-                stage="gradient" if hit else None,
-                attempts={"gradient": cand.copy()},
-            )
 
-    remaining = [i for i in range(n) if not results[i].success]
-    if budget.n_gen > 0 and remaining:
-
-        def run_search(i: int):
-            return moeva(
-                model,
-                cs,
-                Z[i],
-                int(y[i]),
-                budget,
-                schema,
-                cfg,
-                row_seed=int(row_indices[i]),
-            )
-
-        outs = seeded_parallel_map(run_search, remaining, workers)
-        idx = np.array(remaining)
-        cands = np.array([out.candidate for out in outs])
-        valid = validity_mask(schema, scaler, cs, Z[idx], cands, budget, cfg)
-        for i, search_out, ok in zip(remaining, outs, valid):
-            res = results[i]
-            res.attempts["search"] = search_out.candidate.copy()
-            res.misclassified = search_out.misclassified
-            res.valid = bool(ok)
-            if search_out.misclassified and ok:
-                res.candidate = search_out.candidate.copy()
-                res.success = True
-                res.stage = "search"
-
-    return AttackResult(samples=results, wall_time=time.perf_counter() - start)
+    return AttackResult(samples=samples, wall_time=time.perf_counter() - start)

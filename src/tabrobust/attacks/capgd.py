@@ -25,6 +25,7 @@ import numpy as np
 
 from ..data import DatasetSchema, MinMaxScaler
 from ..engine import (
+    DEFAULT_PENALTY_CONFIG,
     PenaltyConfig,
     assignment_fix_rules,
     fix,
@@ -82,7 +83,7 @@ def capgd(
     y: np.ndarray,
     budget: AttackBudget,
     schema: DatasetSchema,
-    cfg: PenaltyConfig = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> GradientAttackOutput:
     """Attack a batch of scaled rows; returns per-sample best candidates.
 
@@ -90,8 +91,6 @@ def capgd(
     distance); with eps == 0 or an all-flat model the originals come
     back unchanged.
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
     Z0 = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
     n = Z0.shape[0]

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..data import DatasetSchema, MinMaxScaler
 from ..engine import (
+    DEFAULT_PENALTY_CONFIG,
     PenaltyConfig,
     assignment_fix_rules,
     fix,
@@ -123,13 +124,11 @@ def moeva(
     y: int,
     budget: AttackBudget,
     schema: DatasetSchema,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     row_seed: Optional[int] = None,
 ) -> SearchAttackOutput:
     """Attack one scaled row; `row_seed` overrides the budget seed for
     per-row stream derivation."""
-    if cfg is None:
-        cfg = PenaltyConfig()
     z0 = np.asarray(z, dtype=float).ravel()
     d = z0.shape[0]
     scaler = model.scaler
@@ -171,12 +170,12 @@ def moeva(
         pop[1:] = repair(pop[1:])
     F, mis = evaluate(pop)
 
+    # The best candidate so far, with the objectives `evaluate` gave it.
     best_key = None
-    best = None
-    success_found = False
+    best: Optional[SearchAttackOutput] = None
 
     def consider(pop_arr: np.ndarray, F_arr: np.ndarray, mis: np.ndarray) -> None:
-        nonlocal best_key, best, success_found
+        nonlocal best_key, best
         in_box = np.all((pop_arr >= -1e-12) & (pop_arr <= 1.0 + 1e-12), axis=1)
         feasible = (
             (F_arr[:, 1] <= budget.eps + 1e-9)
@@ -191,8 +190,13 @@ def moeva(
         key = tuple(keys[top])
         if best_key is None or key < best_key:
             best_key = key
-            best = pop_arr[top].copy()
-            success_found = bool(succ[top])
+            best = SearchAttackOutput(
+                candidate=pop_arr[top].copy(),
+                misclassified=bool(mis[top]),
+                penalty=float(F_arr[top, 2]),
+                dist=float(F_arr[top, 1]),
+                success=bool(succ[top]),
+            )
 
     consider(pop, F, mis)
     trace = [tuple(F.min(axis=0))]
@@ -221,17 +225,8 @@ def moeva(
         rank, crowd = m_rank[keep], m_crowd[keep]
         trace.append(tuple(F.min(axis=0)))
 
-    probs_best = model.predict_proba_scaled(best[None, :])[0]
-    pen_best = float(total_penalty(cs, scaler.inverse_transform(best[None, :]), cfg)[0])
-    dist_best = float(distance(best[None, :], z0[None, :], budget.norm)[0])
-    return SearchAttackOutput(
-        candidate=best,
-        misclassified=bool(probs_best.argmax() != y),
-        penalty=pen_best,
-        dist=dist_best,
-        success=success_found,
-        trace=trace,
-    )
+    best.trace = trace
+    return best
 
 
 def _crossover_batch(

@@ -15,7 +15,7 @@ from pathlib import Path
 from .attacks.budget import AttackBudget
 from .data import DataError, load_dataset, save_dataset
 from .defense import ATConfig, AugmentConfig, adversarial_train, augment_dataset
-from .engine import PenaltyConfig
+from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .harness import (
     EmptyAttackSet,
     SweepSpec,
@@ -80,7 +80,7 @@ def _attack_budget(args) -> tuple[AttackBudget, PenaltyConfig]:
         overrides["seed"] = args.seed
     if overrides:
         budget = budget.with_(**overrides)
-    cfg = PenaltyConfig(tolerance=tolerance) if tolerance is not None else PenaltyConfig()
+    cfg = PenaltyConfig(tolerance=tolerance) if tolerance is not None else DEFAULT_PENALTY_CONFIG
     return budget, cfg
 
 
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gradient-iters", type=int, default=None)
     p.add_argument("--n-gen", type=int, default=None)
     p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--name", default="reference-mlp")
     p.add_argument("--defense", default="none")
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--values", help="comma-separated budget values")
     p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--name", default="reference-mlp")
     p.add_argument("--defense", default="none")
     _add_common(p)
@@ -250,7 +248,7 @@ def cmd_attack(args) -> int:
     report = evaluate(
         model, cs, dataset, schema, budget,
         model_name=args.name, defense=args.defense,
-        cfg=cfg, cap=args.cap, workers=args.workers,
+        cfg=cfg, cap=args.cap,
     )
     out = Path(args.out or "report.json")
     emit_report(report, out, format=args.format)
@@ -278,7 +276,7 @@ def cmd_sweep(args) -> int:
     report = evaluate(
         model, cs, dataset, schema, budget,
         model_name=args.name, defense=args.defense,
-        cfg=cfg, cap=args.cap, workers=args.workers, sweep=sweep,
+        cfg=cfg, cap=args.cap, sweep=sweep,
     )
     out = Path(args.out or "sweep.csv")
     emit_report(report, out, format="csv")

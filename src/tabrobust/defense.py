@@ -24,7 +24,7 @@ from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
 from .data import Dataset, DatasetSchema, load_dataset
-from .engine import PenaltyConfig, assignment_fix_rules, check, fix
+from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
 
@@ -77,7 +77,7 @@ def cutmix_tabular(
     seed: Union[int, np.random.Generator],
     schema: DatasetSchema,
     cs: Optional[ConstraintSet] = None,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> Optional[tuple[np.ndarray, int]]:
     """Mix two raw rows; None when no valid mixture was found.
 
@@ -87,8 +87,6 @@ def cutmix_tabular(
     a fresh mask up to CUTMIX_MAX_RETRIES times.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if cfg is None:
-        cfg = PenaltyConfig()
     slots = schema.column_slots()
     rules = (
         assignment_fix_rules(cs, schema.mutable_mask()) if cs is not None else []
@@ -116,13 +114,11 @@ def augment_dataset(
     schema: DatasetSchema,
     cs: ConstraintSet,
     config: AugmentConfig,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> Dataset:
     """Append config.ratio * n_rows cutmix mixtures, all checker-valid."""
     if config.method == "none" or config.ratio == 0:
         return dataset
-    if cfg is None:
-        cfg = PenaltyConfig()
     rng = np.random.default_rng(config.seed)
     n = dataset.n_rows
     target = int(round(config.ratio * n))
@@ -155,14 +151,12 @@ def import_augmented_rows(
     csv_path: Union[str, Path],
     schema_path: Union[str, Path],
     cs: ConstraintSet,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> tuple[Dataset, int]:
     """Load externally generated rows, dropping any that fail check().
 
     Returns (accepted rows, rejected count).
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
     dataset, _ = load_dataset(csv_path, schema_path)
     ok = check(cs, dataset.X, cfg)
     n_rejected = int((~ok).sum())
@@ -178,7 +172,7 @@ def adversarial_train(
     at_cfg: ATConfig,
     train_cfg: TrainConfig,
     schema: DatasetSchema,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     baseline_accuracy: Optional[float] = None,
 ) -> tuple[ReferenceModel, TrainHistory]:
     """Madry-style training under constraints.
@@ -188,8 +182,6 @@ def adversarial_train(
     candidates failing validation revert to clean rows. With a zero
     inner eps this reduces exactly to standard training.
     """
-    if cfg is None:
-        cfg = PenaltyConfig()
     budget = at_cfg.inner_budget
 
     def hook(Zb: np.ndarray, yb: np.ndarray, epoch: int) -> np.ndarray:

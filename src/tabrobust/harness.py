@@ -21,7 +21,7 @@ from .attacks import AttackBudget, caa
 from .attacks.caa import AttackResult
 from .attacks.validation import validity_mask
 from .data import Dataset, DatasetSchema
-from .engine import PenaltyConfig
+from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .expressions import ConstraintSet
 from .metrics import classification_metrics
 from .mlp import ReferenceModel
@@ -134,7 +134,6 @@ def _attack_budgets(
     budget: AttackBudget,
     indices: np.ndarray,
     cfg: PenaltyConfig,
-    workers: Optional[int],
     sweep: Optional[SweepSpec] = None,
 ) -> tuple[list[BudgetEntry], list[AttackResult]]:
     """The one evaluation path: attack, re-validate, and count, once per
@@ -161,7 +160,7 @@ def _attack_budgets(
     for axis, value, point in points:
         result = caa(
             model, cs, Z, y, point, schema,
-            cfg=cfg, row_indices=indices, workers=workers, known_candidates=pool,
+            cfg=cfg, row_indices=indices, known_candidates=pool,
         )
         con, uncon = success_masks(result, model, cs, schema, point, cfg, y)
         for i, sample in enumerate(result.samples):
@@ -189,16 +188,13 @@ def robust_accuracy(
     dataset: Dataset,
     schema: DatasetSchema,
     budget: AttackBudget,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     indices: Optional[np.ndarray] = None,
-    workers: Optional[int] = None,
 ) -> tuple[float, AttackResult]:
     """1 - (validated successes / attack-set size), plus raw outputs."""
     if indices is None:
         indices = select_attack_set(model, dataset, schema, seed=budget.seed)
-    [entry], [result] = _attack_budgets(
-        model, cs, dataset, schema, budget, indices, cfg or PenaltyConfig(), workers
-    )
+    [entry], [result] = _attack_budgets(model, cs, dataset, schema, budget, indices, cfg)
     return entry.robust_accuracy_constrained, result
 
 
@@ -210,19 +206,18 @@ def evaluate(
     budget: AttackBudget,
     model_name: str = "reference-mlp",
     defense: str = "none",
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     cap: Optional[int] = DEFAULT_ATTACK_CAP,
     workers: Optional[int] = None,
     sweep: Optional[SweepSpec] = None,
 ) -> EvaluationReport:
     """Clean metrics plus robust accuracy at `budget`, or at each point
-    of `sweep` along one axis from `budget`."""
-    if cfg is None:
-        cfg = PenaltyConfig()
+    of `sweep` along one axis from `budget`. `workers` is ignored: the
+    attack runs in this thread."""
     clean = classification_metrics(dataset.y, model.predict_proba(dataset.X)[:, 1])
     indices = select_attack_set(model, dataset, schema, cap=cap, seed=budget.seed)
     entries, _ = _attack_budgets(
-        model, cs, dataset, schema, budget, indices, cfg, workers, sweep
+        model, cs, dataset, schema, budget, indices, cfg, sweep
     )
     return EvaluationReport(
         model=model_name,
@@ -242,16 +237,16 @@ def budget_sweep(
     schema: DatasetSchema,
     sweep: SweepSpec,
     base_budget: Optional[AttackBudget] = None,
-    cfg: Optional[PenaltyConfig] = None,
+    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
     cap: Optional[int] = DEFAULT_ATTACK_CAP,
     workers: Optional[int] = None,
 ) -> list[BudgetEntry]:
-    """Robust accuracy at each sweep value, without the clean metrics."""
+    """Robust accuracy at each sweep value, without the clean metrics.
+    `workers` is ignored: the attack runs in this thread."""
     if base_budget is None:
         base_budget = AttackBudget()
     indices = select_attack_set(model, dataset, schema, cap=cap, seed=base_budget.seed)
     entries, _ = _attack_budgets(
-        model, cs, dataset, schema, base_budget, indices,
-        cfg or PenaltyConfig(), workers, sweep,
+        model, cs, dataset, schema, base_budget, indices, cfg, sweep
     )
     return entries

@@ -17,7 +17,7 @@ from tabrobust.attacks import (
 )
 from tabrobust.attacks.moeva import _crossover_batch, nondominated_sort, survival_select
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
-from tabrobust.engine import PenaltyConfig
+from tabrobust.engine import PenaltyConfig, total_penalty
 from tabrobust.expressions import ConstraintSet
 from tabrobust.harness import select_attack_set
 from tabrobust.mlp import ReferenceModel
@@ -414,6 +414,30 @@ class TestMoeva:
                     row_seed=0)
         assert out.misclassified and out.success
 
+    def test_best_row_is_not_evaluated_again(self, small_bench, monkeypatch):
+        # One forward pass for the seed population and one per generation;
+        # the best row's flag, penalty and distance come from those passes.
+        model, dataset, schema, cs = small_bench
+        budget = AttackBudget(eps=0.5, n_gen=6, n_pop=20, n_off=12, seed=2)
+        idx = select_attack_set(model, dataset, schema, cap=3, seed=2)
+        z = model.scaler.transform(dataset.X[idx])[0]
+        y = int(dataset.y[idx[0]])
+        forwards = [0]
+        forward = ReferenceModel._forward
+
+        def counting_forward(self, Z):
+            forwards[0] += 1
+            return forward(self, Z)
+
+        monkeypatch.setattr(ReferenceModel, "_forward", counting_forward)
+        out = moeva(model, cs, z, y, budget, schema, row_seed=int(idx[0]))
+        assert forwards[0] == budget.n_gen + 1
+        monkeypatch.undo()
+        best = out.candidate[None]
+        assert out.misclassified == (model.predict_proba_scaled(best).argmax() != y)
+        assert out.penalty == total_penalty(cs, model.scaler.inverse_transform(best))[0]
+        assert out.dist == distance(best, z[None], budget.norm)[0]
+
     def test_reproducible_for_fixed_seed(self):
         schema, model, cs = self.toy()
         budget = AttackBudget(eps=0.3, n_gen=10, n_pop=20, n_off=16, seed=9)
@@ -483,18 +507,29 @@ class TestCaa:
             else:
                 assert np.array_equal(s.candidate, Z[i])
 
-    def test_parallel_matches_serial(self, small_bench):
+    def test_failed_carried_candidate_goes_on_to_the_attack(self, small_bench):
+        # The unperturbed original is correctly classified, so as a carried
+        # candidate it fails: the row is attacked exactly as without it.
         model, dataset, schema, cs = small_bench
         budget = self.small_budget()
         idx = select_attack_set(model, dataset, schema, cap=16, seed=3)
         Z = model.scaler.transform(dataset.X[idx])
-        serial = caa(model, cs, Z, dataset.y[idx], budget, schema,
-                     row_indices=idx, workers=1)
-        parallel = caa(model, cs, Z, dataset.y[idx], budget, schema,
-                       row_indices=idx, workers=4)
-        for a, b in zip(serial.samples, parallel.samples):
+        y = dataset.y[idx]
+        plain = caa(model, cs, Z, y, budget, schema, row_indices=idx)
+        pool = {int(r): z.copy() for r, z in zip(idx, Z)}
+        carried = caa(model, cs, Z, y, budget, schema, row_indices=idx,
+                      known_candidates=pool)
+        searched = 0
+        for a, b in zip(plain.samples, carried.samples):
+            assert "carried" not in b.attempts and b.stage != "carried"
+            assert list(b.attempts) == list(a.attempts)
+            assert list(b.attempts)[0] == "gradient"
+            if "search" in b.attempts:
+                searched += 1
+                assert list(b.attempts) == ["gradient", "search"]
             assert np.array_equal(a.candidate, b.candidate)
-            assert a.success == b.success
+            assert (a.success, a.stage) == (b.success, b.stage)
+        assert searched >= 1
 
     def test_linf_attack_respects_coordinate_budget(self):
         schema = continuous_schema(2)
