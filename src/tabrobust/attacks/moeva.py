@@ -4,11 +4,14 @@ Each candidate is scored on three objectives, all minimized: the
 probability the model assigns to the true class, the perturbation
 distance, and the total constraint penalty. Survival is elitist
 nondominated sorting with crowding distance; mating is binary
-tournament on (front rank, crowding). Offspring come from two-point
-crossover over the mutable gene slots plus per-slot mutation (Gaussian
-for continuous, uniform resample for integer and one-hot slots), then
-are projected into the feasible box/ball and repaired with any
-assignment-form fix rules derivable from the constraint set.
+tournament on (front rank, crowding). Survival works on whole arrays:
+dominance compares dense integer value ranks of each objective, and
+one stable sort per objective by (front, value, index) gives every
+front's crowding at once. Offspring come from two-point crossover over
+the mutable gene slots plus per-slot mutation (Gaussian for continuous,
+uniform resample for integer and one-hot slots), then are projected
+into the feasible box/ball and repaired with any assignment-form fix
+rules derivable from the constraint set.
 
 The attack is gradient-free and fully reproducible from its seed.
 """
@@ -49,59 +52,83 @@ class SearchAttackOutput:
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def nondominated_sort(F: np.ndarray) -> np.ndarray:
-    """Front index per row of an (n, m) objective matrix (minimization)."""
+def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front index (minimization) and crowding distance per row of an
+    (n, m) objective matrix.
+
+    A row with a NaN objective neither dominates nor is dominated.
+    Within each front, crowding sums over objectives the normalized gap
+    between a row's neighbours in (value, index) order; the first and
+    last row of a front are infinite, and an objective with no positive
+    spread over the front adds nothing.
+    """
     n, m = F.shape
-    le = F[:, 0][:, None] <= F[:, 0][None, :]
-    lt = F[:, 0][:, None] < F[:, 0][None, :]
+    G = np.ascontiguousarray(F.T)
+    itype = np.int16 if n < 2**15 else np.int64
+    # Per objective: rows in (value, index) order with NaN last, and
+    # dense value ranks, so that a <= b iff rank(a) <= rank(b).
+    by_value = np.argsort(G, axis=1, kind="stable")
+    Gs = np.take_along_axis(G, by_value, axis=1)
+    step = np.zeros((m, n), dtype=itype)
+    np.not_equal(Gs[:, 1:], Gs[:, :-1], out=step[:, 1:])
+    np.cumsum(step, axis=1, out=step)
+    R = np.empty_like(step)
+    np.put_along_axis(R, by_value, step, axis=1)
+
+    le = R[0][:, None] <= R[0]
     for j in range(1, m):
-        le &= F[:, j][:, None] <= F[:, j][None, :]
-        lt |= F[:, j][:, None] < F[:, j][None, :]
-    dominates = le & lt  # dominates[i, j]: i dominates j
-    dom_count = dominates.sum(axis=0)
+        le &= R[j][:, None] <= R[j]
+    nan = np.isnan(G).any(axis=0)
+    le[nan] = False
+    le[:, nan] = False
+    dominates = (le & ~le.T).view(np.uint8)  # [i, j]: i dominates j
+    dom_count = dominates.sum(axis=0, dtype=np.int32)
     rank = np.full(n, -1, dtype=int)
-    front = np.where(dom_count == 0)[0]
+    front = np.flatnonzero(dom_count == 0)
     level = 0
     while front.size:
         rank[front] = level
-        dom_count = dom_count - dominates[front].sum(axis=0)
+        dom_count -= dominates[front].sum(axis=0, dtype=np.int32)
         dom_count[front] = -1
-        front = np.where(dom_count == 0)[0]
+        front = np.flatnonzero(dom_count == 0)
         level += 1
-    return rank
 
-
-def crowding_distance(F: np.ndarray) -> np.ndarray:
-    """Crowding distance within one front (boundary points infinite)."""
-    n, m = F.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
+    # Crowding for all fronts at once: a stable sort by front turns the
+    # (value, index) order into (front, value, index) order.
+    by_front = np.argsort(rank.astype(itype)[by_value], axis=1, kind="stable")
+    order = np.take_along_axis(by_value, by_front, axis=1)
+    Gs = np.take_along_axis(Gs, by_front, axis=1)
+    fronts = np.sort(rank)
+    new = np.ones(n + 1, dtype=bool)
+    np.not_equal(fronts[1:], fronts[:-1], out=new[1:-1])
+    first, last = new[:-1], new[1:]
+    edge = first | last
+    spread = (Gs[:, last] - Gs[:, first])[:, np.cumsum(first) - 1]
+    obj, pos = np.nonzero(~edge & (spread > 0))
+    gaps = np.zeros((m, n))
+    gaps[obj, pos] = (Gs[obj, pos + 1] - Gs[obj, pos - 1]) / spread[obj, pos]
+    crowd = np.zeros(n)
+    # Objective by objective: a boundary's inf replaces what earlier
+    # objectives added, which may be NaN, and later gaps add to it.
     for j in range(m):
-        order = np.argsort(F[:, j], kind="stable")
-        spread = F[order[-1], j] - F[order[0], j]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if spread > 0:
-            gaps = (F[order[2:], j] - F[order[:-2], j]) / spread
-            dist[order[1:-1]] += gaps
-    return dist
-
-
-def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rank = nondominated_sort(F)
-    crowd = np.zeros(len(F))
-    for level in np.unique(rank):
-        members = np.where(rank == level)[0]
-        crowd[members] = crowding_distance(F[members])
+        crowd[order[j]] += gaps[j]
+        crowd[order[j, edge]] = np.inf
     return rank, crowd
 
 
-def survival_select(F: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k survivors by (front, crowding desc, index)."""
+def nondominated_sort(F: np.ndarray) -> np.ndarray:
+    """Front index per row of an (n, m) objective matrix (minimization)."""
+    return rank_and_crowding(F)[0]
+
+
+def survival_select(
+    F: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the k survivors by (front, crowding desc, index), with
+    the rank and crowding each had in F."""
     rank, crowd = rank_and_crowding(F)
-    order = np.lexsort((np.arange(len(F)), -crowd, rank))
-    return order[:k]
+    keep = np.lexsort((np.arange(len(F)), -crowd, rank))[:k]
+    return keep, rank[keep], crowd[keep]
 
 
 def _tournament(
@@ -214,15 +241,11 @@ def moeva(
         F_off, mis_off = evaluate(off)
         consider(off, F_off, mis_off)
 
-        merged = np.vstack([pop, off])
-        F_merged = np.vstack([F, F_off])
         # One sort per generation: survivors inherit their merged-set
         # rank and crowding for the next mating selection.
-        m_rank, m_crowd = rank_and_crowding(F_merged)
-        order = np.lexsort((np.arange(len(F_merged)), -m_crowd, m_rank))
-        keep = order[: budget.n_pop]
-        pop, F = merged[keep], F_merged[keep]
-        rank, crowd = m_rank[keep], m_crowd[keep]
+        F_merged = np.vstack([F, F_off])
+        keep, rank, crowd = survival_select(F_merged, budget.n_pop)
+        pop, F = np.vstack([pop, off])[keep], F_merged[keep]
         trace.append(tuple(F.min(axis=0)))
 
     best.trace = trace

@@ -4,6 +4,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabrobust.attacks import (
     AttackBudget,
@@ -18,7 +20,17 @@ from tabrobust.attacks import (
 from tabrobust.attacks.moeva import _crossover_batch, nondominated_sort, survival_select
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
 from tabrobust.engine import PenaltyConfig, total_penalty
-from tabrobust.expressions import ConstraintSet
+from tabrobust.expressions import (
+    Constant,
+    ConstraintSet,
+    Feature,
+    Log,
+    Mul,
+    Pow,
+    Relation,
+    SafeDiv,
+    Sub,
+)
 from tabrobust.harness import select_attack_set
 from tabrobust.mlp import ReferenceModel
 from tabrobust.parser import parse_constraint
@@ -300,8 +312,8 @@ class TestNondominatedSort:
     def test_survival_keeps_extremes(self):
         rng = np.random.default_rng(0)
         F = rng.uniform(0, 1, (30, 3))
-        keep = survival_select(F, 10)
-        assert len(keep) == 10
+        keep, rank, crowd = survival_select(F, 10)
+        assert len(keep) == len(rank) == len(crowd) == 10
         kept = F[keep]
         front0 = F[nondominated_sort(F) == 0]
         assert front0[:, 2].min() == kept[:, 2].min()
@@ -447,6 +459,67 @@ class TestMoeva:
         ]
         assert np.array_equal(outs[0].candidate, outs[1].candidate)
         assert outs[0].trace == outs[1].trace
+
+
+# Trees over the operations with restricted domains: `^` with bases that
+# can be negative (NaN for fractional exponents, inf for negative ones at
+# zero), `log` and `/`, on features whose raw bounds straddle zero.
+_LEAVES = st.one_of(
+    st.integers(0, 2).map(Feature),
+    st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.5]).map(Constant),
+)
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(children, st.sampled_from([-1.0, 0.5, 1.5, 2.0])).map(
+            lambda t: Pow(t[0], Constant(t[1]))
+        ),
+        pairs.map(lambda t: Pow(*t)),
+        children.map(Log),
+        pairs.map(lambda t: SafeDiv(*t)),
+        pairs.map(lambda t: Sub(*t)),
+        pairs.map(lambda t: Mul(*t)),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _extend, max_leaves=6)
+_CONSTRAINT_SETS = st.lists(
+    st.builds(Relation, st.sampled_from(["<=", "<", ">=", ">", "=="]), _EXPRS, _EXPRS),
+    min_size=1, max_size=3,
+).map(ConstraintSet)
+
+
+class TestRestrictedDomainConstraints:
+    """NaN and inf penalties must neither crash an attack nor let an
+    invalid candidate through as a success."""
+
+    @given(
+        _CONSTRAINT_SETS,
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        st.integers(0, 1),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_attacks_survive_and_successes_validate(self, cs, z, y, seed):
+        schema = DatasetSchema(
+            [FeatureMetadata(f"F{i}", "continuous", -2.0, 2.0) for i in range(3)]
+        )
+        model = linear_model([3.0, -2.0, 1.0], -1.0, MinMaxScaler.from_schema(schema))
+        budget = AttackBudget(eps=0.4, n_iter_gradient=3, n_gen=3, n_pop=10, n_off=8,
+                              seed=seed)
+        cfg = PenaltyConfig()
+        z0 = np.array([z])
+        with np.errstate(all="ignore"):
+            search = moeva(model, cs, z0[0], y, budget, schema, cfg, row_seed=seed)
+            grad = capgd(model, cs, z0, np.array([y]), budget, schema, cfg)
+            claimed = [search.candidate[None]] if search.success else []
+            if grad.misclassified[0] and grad.penalties[0] <= cfg.tolerance:
+                claimed.append(grad.candidates)
+            for cand in claimed:
+                assert validity_mask(schema, model.scaler, cs, z0, cand, budget, cfg)[0]
+                assert model.predict_proba_scaled(cand).argmax() != y
 
 
 class TestCaa:
