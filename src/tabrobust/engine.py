@@ -10,6 +10,33 @@ closure that returns its penalty and a reverse-mode backward step (see
 vectorized over row-major matrices, with `PenaltyConfig.strict_margin`
 passed at call time.
 
+Real domains repeat a few constraint shapes over many feature groups,
+so a set is evaluated through a plan, built on first use and kept on
+the set until its constraints change. The plan groups constraints with
+equal `shape_key`s and compiles each group once over (rows, G) column
+blocks, so G constraints cost one closure call. Results are bit-
+identical to running the constraints one by one:
+
+- `penalty_matrix` writes each group's columns back in constraint
+  order, so `check`'s max and `total_penalty`'s pairwise sum see the
+  matrix they always saw.
+- `total_penalty_with_gradient` adds the penalties in constraint order
+  (an accumulation over a (K + 1, n) buffer), and every feature
+  receives its gradient terms in the order of the one-by-one loop: the
+  plan admits a constraint to a group only if that holds, and leaves
+  it a singleton otherwise.
+- `total_penalty` (pairwise sum) and `total_penalty_with_gradient`
+  (sequential sum) add in different orders and can differ in the last
+  bits. MOEVA and CAPGD read each of them, so both orders stay.
+- `fix` applies its rules in dependency levels: a rule goes one level
+  above the last earlier rule that writes a feature it reads or
+  writes, or reads its target. Rules of one level commute, so each
+  level runs one fused call per rule shape and later rules still see
+  earlier fixes. `assignment_fix_rules` derives a set's rules once per
+  mutable mask and hands them out with that plan.
+
+Singleton groups run the constraint's own cached closure.
+
 Constraints are evaluated in raw (unscaled) feature units; the default
 tolerance of 1e-2 absorbs float noise after unscaling.
 """
@@ -17,7 +44,7 @@ tolerance of 1e-2 absorbs float noise after unscaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,7 +55,9 @@ from .expressions import (
     NumExpr,
     Relation,
     _as_matrix,
+    compile_columns,
     features_of,
+    shape_key,
 )
 
 
@@ -78,6 +107,65 @@ def penalty_gradient(
     return grad[0] if single else grad
 
 
+def _fuse(members_leaves: list[list[int]]):
+    """(compile, column, tail) for one tree shape used by several
+    members, given each member's feature leaves. compile(tree) turns the
+    first member's tree into one closure for all members, column(i) is
+    what its feature i stands for, and tail is () for a singleton (the
+    tree's own closure) and (G,) for a group of G (column blocks)."""
+    if len(members_leaves) == 1:
+        return (lambda tree: tree.compiled), (lambda i: i), ()
+    distinct = [list(dict.fromkeys(leaves)) for leaves in members_leaves]
+    columns = {fs[0]: np.array(fs) for fs in zip(*distinct)}
+    width = len(members_leaves)
+    return (lambda tree: compile_columns(tree, columns, width)), columns.__getitem__, (width,)
+
+
+@dataclass
+class _Plan:
+    """How a constraint set is evaluated. `calls` holds (closure,
+    positions, tail) per group in the order the gradient needs;
+    `fix_rules` caches the last mask's assignment rules."""
+
+    constraints: tuple
+    calls: list
+    fix_rules: Optional[tuple] = None  # (mask key, (rules, fused calls))
+
+
+def _build_plan(constraints: tuple) -> _Plan:
+    """Group `constraints` by shape; see the module docstring."""
+    groups: list[list] = []  # [(position, leaves), ...] per call, in run order
+    open_group: dict[tuple, int] = {}  # shape -> the group its next member may join
+    last: dict[int, tuple] = {}  # feature -> (group, leaf) of its latest gradient term
+    for k, c in enumerate(constraints):
+        leaves: list[int] = []
+        key = shape_key((c,), leaves)
+        g = open_group.get(key)
+        # Joining group g moves this constraint's gradient terms to
+        # (g, leaf); each must stay after every earlier term on its feature.
+        if g is None or any(last.get(f, (-1,)) >= (g, j) for j, f in enumerate(leaves)):
+            g = len(groups)
+            groups.append([])
+            open_group.setdefault(key, g)  # a constraint turned away stays alone
+        groups[g].append((k, leaves))
+        for j, f in enumerate(leaves):
+            last[f] = (g, j)
+    calls = []
+    for members in groups:
+        compile_, _, tail = _fuse([leaves for _, leaves in members])
+        positions = [k for k, _ in members]
+        run = compile_(constraints[positions[0]])
+        calls.append((run, np.array(positions) if tail else positions[0], tail))
+    return _Plan(constraints, calls)
+
+
+def _plan(cs: ConstraintSet) -> _Plan:
+    snapshot = tuple(cs.constraints)
+    if cs.plan is None or cs.plan.constraints != snapshot:
+        cs.plan = _build_plan(snapshot)
+    return cs.plan
+
+
 def penalty_matrix(
     cs: ConstraintSet,
     X: np.ndarray,
@@ -85,9 +173,10 @@ def penalty_matrix(
 ) -> np.ndarray:
     """Per-row, per-constraint penalties, shape (n_rows, n_constraints)."""
     X, _ = _as_matrix(X)
-    if len(cs) == 0:
-        return np.zeros((X.shape[0], 0))
-    return np.stack([c.compiled(X, cfg.strict_margin)[0] for c in cs], axis=1)
+    P = np.empty((X.shape[0], len(cs)))
+    for run, positions, _ in _plan(cs).calls:
+        P[:, positions] = run(X, cfg.strict_margin)[0]
+    return P
 
 
 def check(
@@ -122,12 +211,16 @@ def total_penalty_with_gradient(
 ) -> tuple[Union[float, np.ndarray], np.ndarray]:
     """(sum of penalties, sum of penalty gradients) over the set."""
     X, single = _as_matrix(x)
-    total = np.zeros(X.shape[0])
+    n = X.shape[0]
+    terms = np.zeros((len(cs) + 1, n))  # a zero row, then one per constraint
     grad = np.zeros_like(X)
-    for c in cs:
-        value, backward = c.compiled(X, cfg.strict_margin)
-        total += value
-        backward(np.ones(X.shape[0]), grad)
+    for run, positions, tail in _plan(cs).calls:
+        value, backward = run(X, cfg.strict_margin)
+        terms[1:][positions] = value.T
+        backward(np.ones((n, *tail)), grad)
+    # Accumulating adds row after row: the order of `total += value` per
+    # constraint. (`np.add.reduce` would sum a one-row batch pairwise.)
+    total = np.add.accumulate(terms, axis=0)[-1]
     if single:
         return float(total[0]), grad[0]
     return total, grad
@@ -167,6 +260,47 @@ class FixRule:
         return self.fix.right
 
 
+def _plan_fix(rules: tuple) -> list:
+    """Fused calls (guard, expr, target) that apply `rules` the way the
+    one-by-one loop does; see the module docstring."""
+    levels: list[dict] = []  # per level: shape -> [(rule, leaves), ...]
+    written: dict[int, int] = {}  # feature -> last level writing it
+    touched: dict[int, int] = {}  # feature -> last level reading or writing it
+    for rule in rules:
+        leaves: list[int] = []
+        key = shape_key((rule.guard, rule.fix), leaves)
+        used = set(leaves)  # the target is the fix's first leaf
+        level = 1 + max(touched.get(rule.target, -1), *(written.get(f, -1) for f in used))
+        if level == len(levels):
+            levels.append({})
+        levels[level].setdefault(key, []).append((rule, leaves))
+        written[rule.target] = level
+        for f in used:
+            touched[f] = max(touched.get(f, -1), level)
+    calls = []
+    for level in levels:
+        for members in level.values():
+            compile_, column, _ = _fuse([leaves for _, leaves in members])
+            rule = members[0][0]
+            calls.append((compile_(rule.guard), compile_(rule.expr), column(rule.target)))
+    return calls
+
+
+class FixRules(list):
+    """A list of fix rules that keeps the fused calls applying it
+    (`calls`), planned again if the list has changed since."""
+
+    def __init__(self, rules=(), planned=None):
+        super().__init__(rules)
+        self._planned = planned  # (rules as planned, calls)
+
+    def calls(self) -> list:
+        snapshot = tuple(self)
+        if self._planned is None or self._planned[0] != snapshot:
+            self._planned = (snapshot, _plan_fix(snapshot))
+        return self._planned[1]
+
+
 def fix(
     rules: list[FixRule],
     X: np.ndarray,
@@ -179,31 +313,34 @@ def fix(
     """
     Xm, single = _as_matrix(X)
     out = Xm.copy()
-    for rule in rules:
-        violated = rule.guard.compiled(out, cfg.strict_margin)[0] > 0
+    calls = rules.calls() if isinstance(rules, FixRules) else _plan_fix(tuple(rules))
+    for guard, expr, target in calls:
+        violated = guard(out, cfg.strict_margin)[0] > 0
         if np.any(violated):
-            values = rule.expr.compiled(out)[0]
-            out[violated, rule.target] = values[violated]
+            out[:, target] = np.where(violated, expr(out)[0], out[:, target])
     return out[0] if single else out
 
 
 def assignment_fix_rules(
     cs: ConstraintSet, mutable_mask: Union[np.ndarray, None] = None
-) -> list[FixRule]:
+) -> FixRules:
     """Derive guard==fix rules from assignment-form equality constraints.
 
     Skips targets flagged immutable; other constraint shapes are not
-    repairable this way and are left to search.
+    repairable this way and are left to search. The rules of the last
+    mask asked for are kept with the set's plan, planned for `fix`.
     """
-    rules = []
-    for c in cs:
-        if not isinstance(c, Relation) or c.op != "==":
-            continue
-        if not isinstance(c.left, Feature):
-            continue
-        if c.left.index in features_of(c.right):
-            continue
-        if mutable_mask is not None and not mutable_mask[c.left.index]:
-            continue
-        rules.append(FixRule(guard=c, fix=c))
-    return rules
+    plan = _plan(cs)
+    mask = None if mutable_mask is None else np.asarray(mutable_mask, dtype=bool).tobytes()
+    if plan.fix_rules is None or plan.fix_rules[0] != mask:
+        rules = tuple(
+            FixRule(guard=c, fix=c)
+            for c in cs
+            if isinstance(c, Relation) and c.op == "=="
+            and isinstance(c.left, Feature)
+            and c.left.index not in features_of(c.right)
+            and (mutable_mask is None or mutable_mask[c.left.index])
+        )
+        plan.fix_rules = (mask, (rules, _plan_fix(rules)))
+    planned = plan.fix_rules[1]
+    return FixRules(planned[0], planned)

@@ -12,13 +12,21 @@ together with a backward step that adds adj * d(value)/dX into a
 gradient matrix. Each node type's value rule and derivative rule sit
 together in its `_compile`. `evaluate_expr`, `eval_with_gradient` and
 the penalty engine (`tabrobust.engine`) all run these closures.
+
+The same rules also run on column blocks. `shape_key` gives trees that
+are equal once feature indices are renumbered in order of first use
+(constants included) one key, and `compile_columns` compiles one such
+tree so that its feature i reads the block X[:, columns[i]]: values,
+adjoints and gradient updates then have shape (rows, G), and G trees of
+one shape run as one closure. Every rule is elementwise, so each
+column of a block gets the values its own tree would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -27,6 +35,19 @@ import numpy as np
 # from below. Both keep penalties and their gradients finite everywhere.
 DIV_EPS = 1e-12
 LOG_EPS = 1e-12
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a compiled tree reads its features: feature i is column
+    `columns[i]` of X (column i when `columns` is None), and every value
+    has shape (rows, *tail)."""
+
+    columns: Optional[dict] = None
+    tail: tuple = ()
+
+
+_OWN_COLUMNS = _Layout()
 
 
 class _Node:
@@ -38,18 +59,18 @@ class _Node:
         to (values, backward); a constraint's maps (X, strict_margin) to
         (penalty, backward). backward(adj, grad) adds adj * d(value)/dX
         into grad."""
-        return self._compile()
+        return self._compile(_OWN_COLUMNS)
 
 
 def _no_backward(adj, grad):
     pass
 
 
-def _binary(left, right, value, derivs):
+def _binary(layout, left, right, value, derivs):
     """Closure of a two-child node: `value(a, b)` is its value and
     `derivs(adj, a, b, out)` the adjoints of its children, which only
     the backward step computes."""
-    left, right = left.compiled, right.compiled
+    left, right = left._compile(layout), right._compile(layout)
 
     def run(X):
         a, back_a = left(X)
@@ -66,8 +87,8 @@ def _binary(left, right, value, derivs):
     return run
 
 
-def _unary(arg, value, deriv):
-    arg = arg.compiled
+def _unary(layout, arg, value, deriv):
+    arg = arg._compile(layout)
 
     def run(X):
         a, back = arg(X)
@@ -76,11 +97,11 @@ def _unary(arg, value, deriv):
     return run
 
 
-def _extremum(children, reduce, select):
+def _extremum(layout, children, reduce, select):
     """Closure of Min, Max and a constraint Or: `reduce` over the
     children's values, with the derivative flowing to the first child
     that `select` picks (argmin/argmax take the first index on ties)."""
-    children = [c.compiled for c in children]
+    children = [c._compile(layout) for c in children]
 
     def run(X, *margin):
         vals, backs = zip(*(c(X, *margin) for c in children))
@@ -111,17 +132,17 @@ class NumExpr(_Node):
 class Constant(NumExpr):
     value: float
 
-    def _compile(self):
-        value = self.value
-        return lambda X: (np.full(X.shape[0], value, dtype=float), _no_backward)
+    def _compile(self, layout):
+        value, tail = self.value, layout.tail
+        return lambda X: (np.full((X.shape[0], *tail), value, dtype=float), _no_backward)
 
 
 @dataclass(frozen=True)
 class Feature(NumExpr):
     index: int
 
-    def _compile(self):
-        i = self.index
+    def _compile(self, layout):
+        i = self.index if layout.columns is None else layout.columns[self.index]
 
         def backward(adj, grad):
             grad[:, i] += adj
@@ -134,8 +155,8 @@ class Add(NumExpr):
     left: NumExpr
     right: NumExpr
 
-    def _compile(self):
-        return _binary(self.left, self.right, np.add, lambda adj, a, b, out: (adj, adj))
+    def _compile(self, layout):
+        return _binary(layout, self.left, self.right, np.add, lambda adj, a, b, out: (adj, adj))
 
 
 @dataclass(frozen=True)
@@ -143,9 +164,9 @@ class Sub(NumExpr):
     left: NumExpr
     right: NumExpr
 
-    def _compile(self):
+    def _compile(self, layout):
         return _binary(
-            self.left, self.right, np.subtract, lambda adj, a, b, out: (adj, -adj)
+            layout, self.left, self.right, np.subtract, lambda adj, a, b, out: (adj, -adj)
         )
 
 
@@ -154,9 +175,9 @@ class Mul(NumExpr):
     left: NumExpr
     right: NumExpr
 
-    def _compile(self):
+    def _compile(self, layout):
         return _binary(
-            self.left, self.right, np.multiply, lambda adj, a, b, out: (adj * b, adj * a)
+            layout, self.left, self.right, np.multiply, lambda adj, a, b, out: (adj * b, adj * a)
         )
 
 
@@ -165,7 +186,7 @@ class SafeDiv(NumExpr):
     left: NumExpr
     right: NumExpr
 
-    def _compile(self):
+    def _compile(self, layout):
         def derivs(adj, num, den_raw, out):
             den = _clamp_denominator(den_raw)
             # Inside the clamp the output is constant in the denominator.
@@ -173,7 +194,8 @@ class SafeDiv(NumExpr):
             return adj / den, -adj * num / (den * den) * active
 
         return _binary(
-            self.left, self.right, lambda num, den: num / _clamp_denominator(den), derivs
+            layout, self.left, self.right, lambda num, den: num / _clamp_denominator(den),
+            derivs,
         )
 
 
@@ -182,7 +204,7 @@ class Pow(NumExpr):
     base: NumExpr
     exponent: NumExpr
 
-    def _compile(self):
+    def _compile(self, layout):
         def derivs(adj, base, exp, val):
             with np.errstate(divide="ignore", invalid="ignore"):
                 dbase = np.where(base != 0.0, exp * val / base, 0.0)
@@ -190,16 +212,16 @@ class Pow(NumExpr):
                 dexp = np.where(base > 0.0, val * np.log(np.maximum(base, LOG_EPS)), 0.0)
             return adj * np.nan_to_num(dbase), adj * dexp
 
-        return _binary(self.base, self.exponent, np.power, derivs)
+        return _binary(layout, self.base, self.exponent, np.power, derivs)
 
 
 @dataclass(frozen=True)
 class Log(NumExpr):
     arg: NumExpr
 
-    def _compile(self):
+    def _compile(self, layout):
         return _unary(
-            self.arg,
+            layout, self.arg,
             lambda a: np.log(np.maximum(a, LOG_EPS)),
             lambda adj, a: adj * (a >= LOG_EPS).astype(float) / np.maximum(a, LOG_EPS),
         )
@@ -209,8 +231,8 @@ class Log(NumExpr):
 class Abs(NumExpr):
     arg: NumExpr
 
-    def _compile(self):
-        return _unary(self.arg, np.abs, lambda adj, a: adj * np.sign(a))
+    def _compile(self, layout):
+        return _unary(layout, self.arg, np.abs, lambda adj, a: adj * np.sign(a))
 
 
 @dataclass(frozen=True)
@@ -222,8 +244,8 @@ class Min(NumExpr):
             raise ValueError("Min needs at least one argument")
         object.__setattr__(self, "args", tuple(self.args))
 
-    def _compile(self):
-        return _extremum(self.args, np.min, np.argmin)
+    def _compile(self, layout):
+        return _extremum(layout, self.args, np.min, np.argmin)
 
 
 @dataclass(frozen=True)
@@ -235,8 +257,8 @@ class Max(NumExpr):
             raise ValueError("Max needs at least one argument")
         object.__setattr__(self, "args", tuple(self.args))
 
-    def _compile(self):
-        return _extremum(self.args, np.max, np.argmax)
+    def _compile(self, layout):
+        return _extremum(layout, self.args, np.max, np.argmax)
 
 
 RELATION_OPS = ("==", "<=", "<", ">=", ">")
@@ -268,10 +290,10 @@ class Relation(Constraint):
             raise ValueError("equality relations cannot be negated")
         return Relation(FLIPPED_OP[self.op], self.left, self.right)
 
-    def _compile(self):
+    def _compile(self, layout):
         # Signed residual r: the penalty is |r| for == and the hinge
         # max(0, r) otherwise; `sign` is dr/d(left).
-        left, right = self.left.compiled, self.right.compiled
+        left, right = self.left._compile(layout), self.right._compile(layout)
         equality, strict = self.op == "==", self.op in ("<", ">")
         sign = 1.0 if self.op in ("==", "<=", "<") else -1.0
 
@@ -302,8 +324,8 @@ class And(Constraint):
             raise ValueError("And needs at least one child")
         object.__setattr__(self, "children", tuple(self.children))
 
-    def _compile(self):
-        children = [c.compiled for c in self.children]
+    def _compile(self, layout):
+        children = [c._compile(layout) for c in self.children]
 
         def run(X, margin):
             vals, backs = zip(*(c(X, margin) for c in children))
@@ -326,8 +348,8 @@ class Or(Constraint):
             raise ValueError("Or needs at least one child")
         object.__setattr__(self, "children", tuple(self.children))
 
-    def _compile(self):
-        return _extremum(self.children, np.min, np.argmin)
+    def _compile(self, layout):
+        return _extremum(layout, self.children, np.min, np.argmin)
 
 
 @dataclass(frozen=True)
@@ -341,8 +363,8 @@ class Implies(Constraint):
         if self.guard.op == "==":
             raise ValueError("equality guards are not supported in implications")
 
-    def _compile(self):
-        return Or((self.guard.negated(), self.body)).compiled
+    def _compile(self, layout):
+        return Or((self.guard.negated(), self.body))._compile(layout)
 
 
 @dataclass
@@ -355,6 +377,9 @@ class ConstraintSet:
 
     constraints: list[Constraint] = field(default_factory=list)
     source_text: list[Union[str, None]] = field(default_factory=list)
+    # The engine's evaluation plan, kept with the constraints it was
+    # built from (`tabrobust.engine`).
+    plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.source_text:
@@ -373,37 +398,46 @@ class ConstraintSet:
         self.source_text.append(source)
 
 
+def shape_key(nodes: tuple, leaves: list[int]) -> tuple:
+    """Structure of the trees `nodes`, with their constants, and with
+    feature indices renumbered in order of first use. Appends every
+    feature leaf's index to `leaves`, left to right; that is the order
+    in which the compiled trees read their features and in which their
+    backward steps add into the gradient. Trees with equal keys compute
+    the same function of their features."""
+    numbering: dict[int, int] = {}
+
+    def walk(node):
+        if isinstance(node, Feature):
+            leaves.append(node.index)
+            return numbering.setdefault(node.index, len(numbering))
+        key = [type(node).__name__]
+        for f in fields(node):
+            v = getattr(node, f.name)
+            if isinstance(v, tuple):
+                key.append(tuple(map(walk, v)))
+            elif isinstance(v, _Node):
+                key.append(walk(v))
+            else:  # an operator name or a constant; -0.0 and 0.0 differ
+                key.append(v if isinstance(v, str) else float(v).hex())
+        return tuple(key)
+
+    return tuple(map(walk, nodes))
+
+
 def features_of(node: Union[NumExpr, Constraint]) -> set[int]:
     """Set of feature indices referenced anywhere in the tree."""
-    out: set[int] = set()
-    stack: list[Union[NumExpr, Constraint]] = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Feature):
-            out.add(n.index)
-        elif isinstance(n, Constant):
-            pass
-        elif isinstance(n, (Add, Sub, Mul, SafeDiv)):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-            stack.append(n.exponent)
-        elif isinstance(n, (Log, Abs)):
-            stack.append(n.arg)
-        elif isinstance(n, (Min, Max)):
-            stack.extend(n.args)
-        elif isinstance(n, Relation):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, (And, Or)):
-            stack.extend(n.children)
-        elif isinstance(n, Implies):
-            stack.append(n.guard)
-            stack.append(n.body)
-        else:
-            raise TypeError(f"unknown node type {type(n).__name__}")
-    return out
+    leaves: list[int] = []
+    shape_key((node,), leaves)
+    return set(leaves)
+
+
+def compile_columns(node: _Node, columns: dict[int, np.ndarray], width: int):
+    """The closure of `node` run on column blocks: feature i of the tree
+    reads X[:, columns[i]] (an int array of length `width`), so values,
+    adjoints and the backward step's gradient updates are (rows, width).
+    The columns of one array must differ, or the updates overwrite."""
+    return node._compile(_Layout(columns, (width,)))
 
 
 def validate_features(node: Union[NumExpr, Constraint], n_features: int) -> None:

@@ -1,10 +1,17 @@
 """The compiled engine against the tree-walking interpreters it replaced
 (`reference_engine`): every entry point must return bit-identical
-arrays, NaNs included, on random trees and on inputs placed exactly on
-each kink."""
+arrays, NaNs included, on random trees, on inputs placed exactly on
+each kink, and on sets whose repeated constraint shapes the engine
+fuses into column-block groups (the bench's `wide` set, replicated
+random trees and the grouping hazards one by one)."""
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_engine as ref
 from conftest import random_constraint, random_expr
@@ -13,6 +20,7 @@ from tabrobust.data import DatasetSchema
 from tabrobust.engine import FixRule, PenaltyConfig
 from tabrobust.expressions import (
     And,
+    Constant,
     ConstraintSet,
     Feature,
     Or,
@@ -20,8 +28,12 @@ from tabrobust.expressions import (
     eval_with_gradient,
     evaluate_expr,
     features_of,
+    shape_key,
 )
 from tabrobust.parser import parse_constraint
+from tabrobust.synth import SyntheticSpec, generate_synthetic
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 N_FEATURES = 5
 SCHEMA = DatasetSchema.generic(N_FEATURES)
@@ -129,3 +141,220 @@ def test_nodes_compile_once(text):
     first = con.compiled
     engine.total_penalty_with_gradient(ConstraintSet([con]), np.array(KINK_ROWS))
     assert con.compiled is first
+
+
+def plan_widths(cs):
+    """Members per call of the set's plan, in run order."""
+    return [int(np.size(positions)) for _, positions, _ in engine._plan(cs).calls]
+
+
+def fix_widths(rules):
+    return [int(np.size(target)) for _, _, target in engine.FixRules(rules).calls()]
+
+
+@pytest.fixture(scope="module")
+def wide():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        from wide import generate_wide
+
+        dataset, schema, cs = generate_wide(300, seed=5)
+    return dataset, schema, cs
+
+
+def test_wide_set_matches_reference(wide):
+    dataset, schema, cs = wide
+    rng = np.random.default_rng(11)
+    X = dataset.X.copy()
+    # Push half the rows off the bounds: negative `1 + rate` bases under
+    # a non-integer `^` give NaN, zero incomes hit the division clamp.
+    off = X[::2]
+    off *= rng.uniform(-1.5, 2.5, off.shape)
+    off += rng.normal(0.0, 2.0, off.shape)
+    off[:5, schema.resolve("inc_0")] = 0.0
+    X[::2] = off
+    with np.errstate(all="ignore"):
+        assert np.isnan(ref.total_penalty(cs, X)).any()
+    for rules in (engine.assignment_fix_rules(cs, schema.mutable_mask()),
+                  engine.assignment_fix_rules(cs)):
+        # 16 rows: as many as each group has members.
+        for n in (300, 16, 2):
+            assert_engines_agree(cs, rules, X[:n])
+    # A single-row batch and every row alone on the way to cutmix's calls.
+    for x in X[:8]:
+        assert_engines_agree(cs, engine.assignment_fix_rules(cs), x[None, :])
+
+
+def test_plan_structure(wide):
+    _, schema, cs = wide
+    assert plan_widths(cs) == [16] * 8
+    # 48 fix rules, one level: one fused call per rule shape.
+    rules = engine.assignment_fix_rules(cs, schema.mutable_mask())
+    assert len(rules) == 48
+    assert [int(np.size(target)) for _, _, target in rules.calls()] == [16, 16, 16]
+
+    _, _, bench_cs = generate_synthetic(SyntheticSpec(n_rows=50), seed=0)
+    assert plan_widths(bench_cs) == [1, 1]
+
+    grown = ConstraintSet(list(cs.constraints))
+    assert plan_widths(grown) == [16] * 8
+    first = engine._plan(grown)
+    grown.add(grown.constraints[0])  # same shape and columns as the first
+    assert engine._plan(grown) is not first
+    assert plan_widths(grown) == [16] * 8 + [1]
+    assert grown.plan.calls[-1][1] == 128
+
+
+def test_fix_rules_follow_the_set(wide):
+    dataset, schema, cs = wide
+    cs = ConstraintSet(list(cs.constraints))
+    mask = schema.mutable_mask()
+    first = engine.assignment_fix_rules(cs, mask)
+    again = engine.assignment_fix_rules(cs, mask)
+    assert again == first and again is not first
+    assert again.calls() is first.calls()  # planned once per set and mask
+    assert len(engine.assignment_fix_rules(cs, np.zeros_like(mask))) == 0
+    extra = parse_constraint("a_0 == c_0 * 2", schema)
+    cs.add(extra)
+    grown = engine.assignment_fix_rules(cs, mask)
+    assert grown[:-1] == first and grown[-1].fix is extra
+    # A caller's list that changes is planned again.
+    first.append(grown[-1])
+    x = dataset.X[:4] + 1.0
+    assert np.array_equal(engine.fix(first, x), ref.fix(grown, x))
+
+
+def relabel(node, features, constants=lambda v: v):
+    """Copy of a tree with feature i renamed features[i] and every
+    constant v replaced by constants(v)."""
+    if isinstance(node, Feature):
+        return Feature(features[node.index])
+    if isinstance(node, Constant):
+        return Constant(constants(node.value))
+    values = []
+    for f in dataclasses.fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, tuple):
+            v = tuple(relabel(c, features, constants) for c in v)
+        elif not isinstance(v, str):
+            v = relabel(v, features, constants)
+        values.append(v)
+    return type(node)(*values)
+
+
+LOCAL = 4  # features per block in the replicated sets
+SHARED = 2  # features any block may use in place of its own
+
+
+@st.composite
+def replicated_sets(draw):
+    """Random constraint and fix-rule templates over LOCAL features, each
+    instantiated once per block, in block-major or shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.integers(2, 5))
+    share = draw(st.sampled_from([0.0, 0.25]))  # chance a slot uses a shared feature
+    vary = draw(st.booleans())  # constants differ between blocks
+    shuffled = draw(st.booleans())
+    templates = [random_constraint(rng, LOCAL, depth=2) for _ in range(draw(st.integers(1, 4)))]
+    rule_templates = []
+    for _ in range(draw(st.integers(0, 4))):
+        # Targets repeat across templates often, so rules share targets and
+        # read each other's targets: chains of dependent repairs.
+        target = int(rng.integers(0, LOCAL))
+        expr = random_expr(rng, LOCAL, depth=2)
+        fix_ = Relation("==", Feature(target), expr)
+        guard = fix_ if rng.random() < 0.6 else random_constraint(rng, LOCAL, depth=1)
+        rule_templates.append((guard, fix_))
+    n_features = blocks * LOCAL + SHARED
+    maps = []
+    for b in range(blocks):
+        own = np.arange(b * LOCAL, (b + 1) * LOCAL)
+        shared = rng.integers(blocks * LOCAL, n_features, LOCAL)
+        maps.append(np.where(rng.random(LOCAL) < share, shared, own))
+    order = [(b, t) for b in range(blocks) for t in range(len(templates))]
+    if shuffled:
+        order = [order[i] for i in rng.permutation(len(order))]
+    scale = lambda b: (lambda v: v * (1 + b) if vary else v)  # noqa: E731
+    cs = ConstraintSet([relabel(templates[t], maps[b], scale(b)) for b, t in order])
+    rules = []
+    for b in range(blocks):
+        for guard, fix_ in rule_templates:
+            fix_ = relabel(fix_, maps[b], scale(b))
+            if fix_.left.index not in features_of(fix_.right):
+                rules.append(FixRule(relabel(guard, maps[b], scale(b)), fix_))
+    n = draw(st.sampled_from([1, 2, blocks, 7]))
+    X = rng.uniform(-3.0, 3.0, (n, n_features))
+    if n > 1:
+        X[1] = rng.integers(-2, 3, n_features)  # ties between features
+    fuses = share == 0.0 and not vary and not shuffled and len(
+        {shape_key((t,), []) for t in templates}) == len(templates)
+    return cs, rules, X, fuses, len(templates)
+
+
+@settings(max_examples=120, deadline=None)
+@given(replicated_sets())
+def test_replicated_random_trees_match_reference(case):
+    cs, rules, X, fuses, n_templates = case
+    assert_engines_agree(cs, rules, X)
+    if fuses:
+        # Block-local features in block-major order: one call per template.
+        assert len(plan_widths(cs)) == n_templates
+
+
+def test_group_as_wide_as_the_batch():
+    # A group of 3 on 3 rows: a (rows, 3) block written back untransposed,
+    # or a (rows,) array against it, has a valid shape, so only the
+    # values show the mistake.
+    # F0 is read by the first and the third member, at different leaves.
+    cs = ConstraintSet([c(f"F{i} + 1.5 <= F{j} * 2") for i, j in ((0, 1), (2, 3), (4, 0))])
+    assert plan_widths(cs) == [3]
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-3.0, 3.0, (3, N_FEATURES))
+    rules = [FixRule(c(t), c(t)) for t in ("F1 == F0 - 1", "F3 == F2 - 1", "F4 == F0 - 1")]
+    assert fix_widths(rules) == [3]
+    assert_engines_agree(cs, rules, X)
+
+
+def test_hazards_keep_the_reference_order():
+    X = np.vstack([np.array(KINK_ROWS), np.random.default_rng(3).uniform(-3, 3, (6, 5))])
+    cases = [
+        # F0 shared by both members at the same leaf: one block update
+        # would drop a term, so the second stays a singleton.
+        (["F0 <= F1", "F0 <= F2"], [1, 1]),
+        # Same shape, different constants: two shapes.
+        (["F0 <= 1", "F1 <= 2"], [1, 1]),
+        # A feature used twice in each member.
+        (["F0 * F0 <= F1", "F2 * F2 <= F3"], [2]),
+        (["F0 * F1 <= F2", "F3 * F3 <= F4"], [1, 1]),
+        # Fusing F4's terms would move the third constraint's ahead of
+        # the second's, so the third stays a singleton.
+        (["F0 <= 2 * F1", "log(F4) >= F3", "F4 <= 2 * F2"], [1, 1, 1]),
+        # The same with no shared feature fuses.
+        (["F0 <= 2 * F1", "log(F3) >= F3", "F4 <= 2 * F2"], [2, 1]),
+    ]
+    for texts, widths in cases:
+        cs = ConstraintSet([c(t) for t in texts])
+        assert plan_widths(cs) == widths, texts
+        assert_engines_agree(cs, [], X)
+
+
+def test_chained_fix_rules_keep_their_order():
+    def rule(text, guard=None):
+        return FixRule(c(guard or text), c(text))
+
+    X = np.vstack([np.array(KINK_ROWS), np.random.default_rng(4).uniform(-3, 3, (6, 5))])
+    cases = [
+        # The third rule reads the first's target: a second level.
+        ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F4 == F1 + 1")], [2, 1]),
+        # Two rules write F1: the later one must run after.
+        ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F1 == F4 + 1")], [2, 1]),
+        # The third rule writes what the first reads.
+        ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F0 == F4 + 1")], [2, 1]),
+        # A guard reading another rule's target.
+        ([rule("F1 == F0", "F2 <= F3"), rule("F3 == F4", "F0 <= F1")], [1, 1]),
+        # Independent rules of one shape in one level.
+        ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F4 == F2 * F0")], [2, 1]),
+    ]
+    for rules, widths in cases:
+        assert fix_widths(rules) == widths
+        assert_engines_agree(ConstraintSet(), rules, X)
