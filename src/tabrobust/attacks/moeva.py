@@ -13,6 +13,14 @@ uniform resample for integer and one-hot slots), then are projected
 into the feasible box/ball and repaired with any assignment-form fix
 rules derivable from the constraint set.
 
+The slot layout is built once per call. Mutation draws one fixed block
+of random numbers per generation, in this order: a hit flag for every
+(offspring, slot), Gaussian noise for every continuous slot, a uniform
+integer for every integer slot and a category for every one-hot group.
+Hits are written back with `np.where` over column blocks, so slots
+that are not hit keep their bytes, and how much of the stream a
+generation uses depends only on the offspring count and the layout.
+
 The attack is gradient-free and fully reproducible from its seed.
 """
 
@@ -50,6 +58,53 @@ class SearchAttackOutput:
     dist: float
     success: bool  # misclassified and feasible (ball + penalty tolerance)
     trace: list[tuple[float, float, float]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """The mutable gene slots of a schema, split by how they mutate.
+
+    Crossover reads `cols` and `sizes`: every slot's columns, slot after
+    slot. Mutation reads the three kinds: continuous columns, integer
+    columns with their int64 bounds, and one-hot groups (slots of two or
+    more columns), given as their columns group after group, each
+    column's group and position in it, and the group sizes.
+    """
+
+    cols: np.ndarray
+    sizes: np.ndarray
+    cont: np.ndarray
+    ints: np.ndarray
+    int_lo: np.ndarray
+    int_hi: np.ndarray
+    group_cols: np.ndarray
+    group_of: np.ndarray
+    group_pos: np.ndarray
+    group_sizes: np.ndarray
+
+
+def slot_layout(schema: DatasetSchema, slots: list[np.ndarray]) -> SlotLayout:
+    """Layout of `slots`, column groups of `schema` in crossover order."""
+    lo, hi = schema.bounds()
+    int_mask = schema.integer_mask()
+    empty = np.empty(0, dtype=np.intp)
+    single = np.array([c[0] for c in slots if len(c) == 1], dtype=np.intp)
+    groups = [c for c in slots if len(c) > 1]
+    ints = single[int_mask[single]]
+    group_sizes = np.array([len(c) for c in groups], dtype=np.int64)
+    starts = np.cumsum(group_sizes) - group_sizes
+    return SlotLayout(
+        cols=np.concatenate(slots) if slots else empty,
+        sizes=np.array([len(c) for c in slots], dtype=np.intp),
+        cont=single[~int_mask[single]],
+        ints=ints,
+        int_lo=lo[ints].astype(np.int64),
+        int_hi=hi[ints].astype(np.int64),
+        group_cols=np.concatenate(groups) if groups else empty,
+        group_of=np.repeat(np.arange(len(groups)), group_sizes),
+        group_pos=np.arange(group_sizes.sum()) - np.repeat(starts, group_sizes),
+        group_sizes=group_sizes,
+    )
 
 
 def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +219,10 @@ def moeva(
     )
 
     mutable = schema.mutable_mask()
-    slots = [c for c in schema.column_slots() if mutable[c].all()]
+    layout = slot_layout(
+        schema, [c for c in schema.column_slots() if mutable[c].all()]
+    )
     rules = assignment_fix_rules(cs, mutable)
-    lo, hi = schema.bounds()
-    int_mask = schema.integer_mask()
 
     def repair(pop: np.ndarray) -> np.ndarray:
         pop = project(pop, np.broadcast_to(z0, pop.shape), budget, schema, scaler)
@@ -233,10 +288,10 @@ def moeva(
         n_pairs = (budget.n_off + 1) // 2
         parents_a = _tournament(rng, rank, crowd, n_pairs)
         parents_b = _tournament(rng, rank, crowd, n_pairs)
-        off = _crossover_batch(rng, pop[parents_a], pop[parents_b], slots)[
+        off = _crossover_batch(rng, pop[parents_a], pop[parents_b], layout)[
             : budget.n_off
         ]
-        off = _mutate(rng, off, z0, slots, budget, scaler, lo, hi, int_mask)
+        off = _mutate(rng, off, layout, budget, scaler)
         off = repair(off)
         F_off, mis_off = evaluate(off)
         consider(off, F_off, mis_off)
@@ -256,7 +311,7 @@ def _crossover_batch(
     rng: np.random.Generator,
     PA: np.ndarray,
     PB: np.ndarray,
-    slots: list[np.ndarray],
+    layout: SlotLayout,
 ) -> np.ndarray:
     """Two-point crossover over gene slots (one-hot groups move whole).
 
@@ -265,13 +320,12 @@ def _crossover_batch(
     """
     k, d = PA.shape
     swap_cols = np.zeros((k, d), dtype=bool)
-    n_slots = len(slots)
+    n_slots = len(layout.sizes)
     if n_slots >= 2:
         pts = np.sort(rng.integers(0, n_slots + 1, size=(k, 2)), axis=1)
         slot_ids = np.arange(n_slots)
         swap = (slot_ids[None, :] >= pts[:, :1]) & (slot_ids[None, :] < pts[:, 1:])
-        sizes = [len(cols) for cols in slots]
-        swap_cols[:, np.concatenate(slots)] = np.repeat(swap, sizes, axis=1)
+        swap_cols[:, layout.cols] = np.repeat(swap, layout.sizes, axis=1)
     out = np.empty((2 * k, d))
     out[0::2] = np.where(swap_cols, PB, PA)
     out[1::2] = np.where(swap_cols, PA, PB)
@@ -281,34 +335,32 @@ def _crossover_batch(
 def _mutate(
     rng: np.random.Generator,
     off: np.ndarray,
-    z0: np.ndarray,
-    slots: list[np.ndarray],
+    layout: SlotLayout,
     budget: AttackBudget,
     scaler: MinMaxScaler,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    int_mask: np.ndarray,
 ) -> np.ndarray:
-    """Per-slot mutation with probability MUTATION_PROB."""
-    sigma = SIGMA_FRACTION * budget.eps
+    """Mutate each slot of each row of `off` in place with probability
+    MUTATION_PROB: Gaussian noise of SD SIGMA_FRACTION * eps on a
+    continuous slot, a uniform integer in the feature's bounds on an
+    integer slot, a uniform category on a one-hot group.
+
+    Draws one block per call, whether or not a slot is hit: hits for the
+    (n, C + I + G) continuous, integer and group slots in that order,
+    then (n, C) normals, (n, I) integers and (n, G) categories.
+    """
     n = off.shape[0]
-    for cols in slots:
-        hit = rng.random(n) < MUTATION_PROB
-        if not np.any(hit):
-            continue
-        if len(cols) > 1:
-            # One-hot group: resample the active category.
-            choice = rng.integers(0, len(cols), size=n)
-            block = np.zeros((n, len(cols)))
-            block[np.arange(n), choice] = 1.0
-            off[np.ix_(hit, cols)] = block[hit]
-        elif int_mask[cols[0]]:
-            j = cols[0]
-            values = rng.integers(int(lo[j]), int(hi[j]) + 1, size=n).astype(float)
-            scaled = (values - scaler.min_[j]) / scaler.width_[j]
-            off[hit, j] = scaled[hit]
-        else:
-            j = cols[0]
-            noise = rng.normal(0.0, sigma, size=n)
-            off[hit, j] += noise[hit]
+    C, I = len(layout.cont), len(layout.ints)
+    hit = rng.random((n, C + I + len(layout.group_sizes))) < MUTATION_PROB
+    noise = rng.normal(0.0, SIGMA_FRACTION * budget.eps, (n, C))
+    values = rng.integers(layout.int_lo, layout.int_hi + 1, (n, I))
+    choice = rng.integers(0, layout.group_sizes, (n, len(layout.group_sizes)))
+
+    block = off[:, layout.cont]
+    off[:, layout.cont] = np.where(hit[:, :C], block + noise, block)
+    ints = layout.ints
+    scaled = (values - scaler.min_[ints]) / scaler.width_[ints]
+    off[:, ints] = np.where(hit[:, C : C + I], scaled, off[:, ints])
+    onehot = (choice[:, layout.group_of] == layout.group_pos).astype(float)
+    group_hit = hit[:, C + I :][:, layout.group_of]
+    off[:, layout.group_cols] = np.where(group_hit, onehot, off[:, layout.group_cols])
     return off

@@ -37,6 +37,15 @@ class FeatureMetadata:
             raise DataError(f"unknown feature kind {self.kind!r}")
         if self.min > self.max:
             raise DataError(f"feature {self.name!r}: min {self.min} > max {self.max}")
+        if self.kind == "integer":
+            # Bounds must be integers that float64 holds exactly, so that
+            # projection can round onto them and mutation can draw in them.
+            for bound in (self.min, self.max):
+                if not (float(bound).is_integer() and abs(bound) <= 2**53):
+                    raise DataError(
+                        f"integer feature {self.name!r}: bound {bound!r} is not a "
+                        "finite integer"
+                    )
         if self.kind == "categorical" and self.onehot_group is None:
             raise DataError(f"categorical feature {self.name!r} needs an onehot_group")
 

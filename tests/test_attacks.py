@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import reference_mutate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,15 @@ from tabrobust.attacks import (
     project,
     validity_mask,
 )
-from tabrobust.attacks.moeva import _crossover_batch, nondominated_sort, survival_select
+from tabrobust.attacks.moeva import (
+    MUTATION_PROB,
+    SIGMA_FRACTION,
+    _crossover_batch,
+    _mutate,
+    nondominated_sort,
+    slot_layout,
+    survival_select,
+)
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
 from tabrobust.engine import PenaltyConfig, total_penalty
 from tabrobust.expressions import (
@@ -364,9 +373,130 @@ class TestCrossover:
             PB = data_rng.uniform(0, 1, (k, schema.n_features))
             for use in (slots, slots[:1], []):
                 rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-                out = _crossover_batch(rng_new, PA, PB, use)
+                out = _crossover_batch(rng_new, PA, PB, slot_layout(schema, use))
                 assert np.array_equal(out, crossover_by_slot(rng_old, PA, PB, use))
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+class TestMutation:
+    # Continuous columns, an integer with a nonzero lower bound, two
+    # one-hot groups of different sizes, and immutable columns (one
+    # integer) that sit in no slot.
+    schema = DatasetSchema([
+        FeatureMetadata("x0", "continuous", 0.0, 10.0),
+        FeatureMetadata("term", "integer", 1, 6),
+        FeatureMetadata("g_a", "categorical", 0, 1, onehot_group="g"),
+        FeatureMetadata("imm", mutable=False),
+        FeatureMetadata("g_b", "categorical", 0, 1, onehot_group="g"),
+        FeatureMetadata("x1", "continuous", -5.0, 5.0),
+        FeatureMetadata("h_a", "categorical", 0, 1, onehot_group="h"),
+        FeatureMetadata("h_b", "categorical", 0, 1, onehot_group="h"),
+        FeatureMetadata("h_c", "categorical", 0, 1, onehot_group="h"),
+        FeatureMetadata("k", "integer", 2, 5, mutable=False),
+        FeatureMetadata("x2"),
+    ])
+    budget = AttackBudget(eps=0.5)
+    n = 1500
+    seeds = range(4)
+
+    def layout(self):
+        mutable = self.schema.mutable_mask()
+        slots = [c for c in self.schema.column_slots() if mutable[c].all()]
+        return slots, slot_layout(self.schema, slots)
+
+    def marked(self, seed):
+        """Scaled rows whose integer and one-hot slots hold values no
+        mutation writes (off the integer grid, not one-hot), so that a
+        slot changed exactly when it was hit."""
+        X = np.random.default_rng(1000 + seed).uniform(0, 1, (self.n, self.schema.n_features))
+        X[:, [1, 2, 4, 6, 7, 8]] = 0.5 + 1 / 7
+        return X
+
+    def changed(self, X, out, cols):
+        return out[:, cols].view(np.int64) != X[:, cols].view(np.int64)
+
+    def mutations(self, which):
+        """(seed, input, output) per seed, for the block `_mutate` or
+        the per-slot reference."""
+        slots, layout = self.layout()
+        scaler = MinMaxScaler.from_schema(self.schema)
+        lo, hi = self.schema.bounds()
+        for seed in self.seeds:
+            X = self.marked(seed)
+            rng = np.random.default_rng(seed)
+            if which == "block":
+                out = _mutate(rng, X.copy(), layout, self.budget, scaler)
+            else:
+                out = reference_mutate._mutate(
+                    rng, X.copy(), None, slots, self.budget, scaler, lo, hi,
+                    self.schema.integer_mask(),
+                )
+            yield seed, X, out
+
+    def test_layout(self):
+        slots, layout = self.layout()
+        assert len(slots) == 6
+        assert layout.cont.tolist() == [0, 5, 10]
+        assert layout.ints.tolist() == [1]
+        assert layout.int_lo.tolist() == [1] and layout.int_hi.tolist() == [6]
+        assert layout.int_lo.dtype == np.int64
+        assert layout.group_cols.tolist() == [2, 4, 6, 7, 8]
+        assert layout.group_of.tolist() == [0, 0, 1, 1, 1]
+        assert layout.group_pos.tolist() == [0, 1, 0, 1, 2]
+        assert layout.group_sizes.tolist() == [2, 3]
+
+    def test_only_hit_slots_change_in_the_documented_order(self):
+        _, layout = self.layout()
+        for seed, X, out in self.mutations("block"):
+            assert np.array_equal(out[:, [3, 9]].view(np.int64), X[:, [3, 9]].view(np.int64))
+            # The first draw is the (n, C + I + G) hit block.
+            hit = np.random.default_rng(seed).random((self.n, 6)) < MUTATION_PROB
+            assert np.array_equal(self.changed(X, out, [0, 5, 10, 1]), hit[:, :4])
+            assert np.array_equal(self.changed(X, out, [2, 4]), hit[:, [4, 4]])
+            assert np.array_equal(self.changed(X, out, [6, 7, 8]), hit[:, [5, 5, 5]])
+
+    @pytest.mark.parametrize("which", ["block", "reference"])
+    def test_mutation_law(self, which):
+        scaler = MinMaxScaler.from_schema(self.schema)
+        hits = np.zeros(6)
+        noise, terms, cats = [], [], {"g": [], "h": []}
+        for _, X, out in self.mutations(which):
+            assert np.array_equal(out[:, [3, 9]].view(np.int64), X[:, [3, 9]].view(np.int64))
+            cont = self.changed(X, out, [0, 5, 10])
+            noise.append((out - X)[:, [0, 5, 10]][cont])
+            term = self.changed(X, out, [1])[:, 0]
+            terms.append(scaler.inverse_transform(out[term])[:, 1])
+            hits[:3] += cont.sum(axis=0)
+            hits[3] += term.sum()
+            for s, (name, cols) in enumerate([("g", [2, 4]), ("h", [6, 7, 8])]):
+                changed = self.changed(X, out, cols)
+                # A group changes whole or not at all.
+                assert np.array_equal(changed.all(axis=1), changed.any(axis=1))
+                block = out[changed[:, 0]][:, cols]
+                assert np.all((block == 0.0) | (block == 1.0))
+                assert np.all(block.sum(axis=1) == 1.0)
+                cats[name].append(block.argmax(axis=1))
+                hits[4 + s] += changed[:, 0].sum()
+        trials = self.n * len(self.seeds)
+        band = 5 * np.sqrt(trials * MUTATION_PROB * (1 - MUTATION_PROB))
+        assert np.all(np.abs(hits - trials * MUTATION_PROB) <= band), hits
+        terms = np.concatenate(terms)
+        assert np.array_equal(terms, np.round(terms))
+        assert set(np.round(terms).astype(int).tolist()) == {1, 2, 3, 4, 5, 6}
+        assert set(np.concatenate(cats["g"]).tolist()) == {0, 1}
+        assert set(np.concatenate(cats["h"]).tolist()) == {0, 1, 2}
+        sd = np.concatenate(noise).std()
+        assert abs(sd - SIGMA_FRACTION * self.budget.eps) <= 0.1 * SIGMA_FRACTION * self.budget.eps
+
+    def test_draws_do_not_depend_on_the_candidates(self):
+        _, layout = self.layout()
+        scaler = MinMaxScaler.from_schema(self.schema)
+        states = []
+        for X in (self.marked(0)[:40], np.zeros((40, self.schema.n_features))):
+            rng = np.random.default_rng(7)
+            _mutate(rng, X, layout, self.budget, scaler)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestMoeva:

@@ -65,6 +65,32 @@ class TestSchema:
         with pytest.raises(DataError, match="min"):
             FeatureMetadata("x", min=2.0, max=1.0)
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (0.5, 3.5),
+            (0.0, 2.5),
+            (np.nan, 3.0),
+            (0.0, np.nan),
+            (-np.inf, 3.0),
+            (0.0, np.inf),
+            (0.0, 1e300),
+        ],
+    )
+    def test_integer_bounds_must_be_finite_integers(self, lo, hi):
+        with pytest.raises(DataError, match="finite integer"):
+            FeatureMetadata("k", "integer", lo, hi)
+        with pytest.raises(DataError, match="finite integer"):
+            DatasetSchema.from_dict(
+                {"features": [{"name": "k", "kind": "integer", "min": lo, "max": hi}]}
+            )
+
+    def test_integer_bounds_accepted(self):
+        assert FeatureMetadata("k", "integer", np.int64(1), 6).max == 6
+        assert FeatureMetadata("k", "integer", -3.0, 2.0**53).min == -3.0
+        # Only integer features are held to it.
+        assert FeatureMetadata("x", "continuous", 0.5, np.inf).max == np.inf
+
 
 class TestDataset:
     def test_non_binary_labels_rejected(self):
