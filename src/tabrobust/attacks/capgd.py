@@ -120,8 +120,7 @@ def capgd(
     lam = np.full(n, budget.lam)
     eta = np.full(n, 2.0 * budget.eps / budget.n_iter_gradient)
     checkpoints = checkpoint_schedule(budget.n_iter_gradient)
-    rules = assignment_fix_rules(cs, schema.mutable_mask())
-    mutable = schema.mutable_mask()
+    rules = assignment_fix_rules(cs, schema.mutable)
 
     def offer_repaired(z_batch: np.ndarray) -> None:
         """Let each iterate's repaired variant compete as a candidate.
@@ -132,7 +131,7 @@ def capgd(
         """
         raw_fixed = fix(rules, scaler.inverse_transform(z_batch), cfg)
         z_fixed = scaler.transform(raw_fixed)
-        z_fixed[:, ~mutable] = Z0[:, ~mutable]
+        z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
         changed = np.any(z_fixed != z_batch, axis=1)
         if not np.any(changed):
             return

@@ -66,9 +66,9 @@ class SlotLayout:
 
     Crossover reads `cols` and `sizes`: every slot's columns, slot after
     slot. Mutation reads the three kinds: continuous columns, integer
-    columns with their int64 bounds, and one-hot groups (slots of two or
-    more columns), given as their columns group after group, each
-    column's group and position in it, and the group sizes.
+    columns with their int64 bounds, and one-hot groups, given as their
+    columns group after group, each column's group and position in it,
+    and the group sizes.
     """
 
     cols: np.ndarray
@@ -83,27 +83,25 @@ class SlotLayout:
     group_sizes: np.ndarray
 
 
-def slot_layout(schema: DatasetSchema, slots: list[np.ndarray]) -> SlotLayout:
-    """Layout of `slots`, column groups of `schema` in crossover order."""
-    lo, hi = schema.bounds()
-    int_mask = schema.integer_mask()
-    empty = np.empty(0, dtype=np.intp)
-    single = np.array([c[0] for c in slots if len(c) == 1], dtype=np.intp)
-    groups = [c for c in slots if len(c) > 1]
-    ints = single[int_mask[single]]
-    group_sizes = np.array([len(c) for c in groups], dtype=np.int64)
-    starts = np.cumsum(group_sizes) - group_sizes
+def slot_layout(schema: DatasetSchema) -> SlotLayout:
+    """The gene slots of `schema`, read off its layout: the column slots
+    with no immutable column, in order of first column."""
+    gene_slot = ~np.isin(np.arange(len(schema.slot_sizes)), schema.slot_of[schema.immutable])
+    gene = gene_slot[schema.slot_of]
+    ints = np.flatnonzero(gene & schema.integer)
+    in_gene = gene[schema.group_cols]
+    groups, group_of = np.unique(schema.group_of[in_gene], return_inverse=True)
     return SlotLayout(
-        cols=np.concatenate(slots) if slots else empty,
-        sizes=np.array([len(c) for c in slots], dtype=np.intp),
-        cont=single[~int_mask[single]],
+        cols=schema.slot_cols[gene[schema.slot_cols]],
+        sizes=schema.slot_sizes[gene_slot],
+        cont=np.flatnonzero(gene & ~schema.typed),
         ints=ints,
-        int_lo=lo[ints].astype(np.int64),
-        int_hi=hi[ints].astype(np.int64),
-        group_cols=np.concatenate(groups) if groups else empty,
-        group_of=np.repeat(np.arange(len(groups)), group_sizes),
-        group_pos=np.arange(group_sizes.sum()) - np.repeat(starts, group_sizes),
-        group_sizes=group_sizes,
+        int_lo=schema.lo[ints].astype(np.int64),
+        int_hi=schema.hi[ints].astype(np.int64),
+        group_cols=schema.group_cols[in_gene],
+        group_of=group_of,
+        group_pos=schema.group_pos[in_gene],
+        group_sizes=schema.group_sizes[groups],
     )
 
 
@@ -218,18 +216,15 @@ def moeva(
         np.random.SeedSequence([budget.seed, 0 if row_seed is None else row_seed])
     )
 
-    mutable = schema.mutable_mask()
-    layout = slot_layout(
-        schema, [c for c in schema.column_slots() if mutable[c].all()]
-    )
-    rules = assignment_fix_rules(cs, mutable)
+    layout = slot_layout(schema)
+    rules = assignment_fix_rules(cs, schema.mutable)
 
     def repair(pop: np.ndarray) -> np.ndarray:
         pop = project(pop, np.broadcast_to(z0, pop.shape), budget, schema, scaler)
         if rules:
             raw = fix(rules, scaler.inverse_transform(pop), cfg)
             pop = scaler.transform(raw)
-            pop[:, ~mutable] = z0[~mutable]
+            pop[:, schema.immutable] = z0[schema.immutable]
         return pop
 
     def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +242,7 @@ def moeva(
     pop = np.tile(z0, (budget.n_pop, 1))
     if budget.n_pop > 1 and budget.eps > 0:
         noise = rng.uniform(-budget.eps / 2, budget.eps / 2, (budget.n_pop - 1, d))
-        noise[:, ~mutable] = 0.0
+        noise[:, schema.immutable] = 0.0
         pop[1:] += noise
         pop[1:] = repair(pop[1:])
     F, mis = evaluate(pop)

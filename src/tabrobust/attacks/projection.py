@@ -6,6 +6,10 @@ integer features to the nearest feasible value, and snap one-hot groups
 to their argmax. The ball projection is exact; rounding and snapping
 may re-inflate the distance slightly, which downstream validation
 re-checks.
+
+Snapping works over the schema's one-hot layout: one argmax per
+distinct group size (first maximum, or first NaN, wins), then each group
+column is set to whether its position is its group's winner.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ def project(
     orig = np.atleast_2d(np.asarray(original, dtype=float))
     single = np.asarray(candidate).ndim == 1
 
-    immutable = ~schema.mutable_mask()
-    cand[:, immutable] = orig[:, immutable]
+    cand[:, schema.immutable] = orig[:, schema.immutable]
 
     np.clip(cand, 0.0, 1.0, out=cand)
     cand = _ball_project(cand, orig, budget.eps, budget.norm)
@@ -70,24 +73,18 @@ def project(
     # toward the originals, so the ball constraint is preserved).
     np.clip(cand, 0.0, 1.0, out=cand)
 
-    int_cols = np.where(schema.integer_mask())[0]
-    if int_cols.size:
+    # Round in raw units: only the integer columns go through the scaler.
+    ints = schema.int_cols
+    if ints.size:
         if scaler is None:
             scaler = MinMaxScaler.from_schema(schema)
-        lo, hi = schema.bounds()
-        raw = scaler.inverse_transform(cand)
-        raw[:, int_cols] = np.clip(
-            np.round(raw[:, int_cols]), lo[int_cols], hi[int_cols]
-        )
-        cand[:, int_cols] = scaler.transform(raw)[:, int_cols]
+        low, width = scaler.min_[ints], scaler.width_[ints]
+        raw = np.clip(np.round(cand[:, ints] * width + low), schema.lo[ints], schema.hi[ints])
+        cand[:, ints] = (raw - low) / width
 
-    for cols in schema.onehot_groups().values():
-        block = cand[:, cols]
-        winners = block.argmax(axis=1)
-        block[:] = 0.0
-        block[np.arange(block.shape[0]), winners] = 1.0
-        cand[:, cols] = block
+    winners = schema.per_group(cand, np.argmax)
+    cand[:, schema.group_cols] = winners[:, schema.group_of] == schema.group_pos
 
     # Re-pin immutables: rounding/snapping must never touch them.
-    cand[:, immutable] = orig[:, immutable]
+    cand[:, schema.immutable] = orig[:, schema.immutable]
     return cand[0] if single else cand

@@ -40,23 +40,13 @@ def validity_mask(
     Z_orig = np.atleast_2d(Z_orig)
     Z_cand = np.atleast_2d(Z_cand)
     ok = distance(Z_cand, Z_orig, budget.norm) <= budget.eps + DISTANCE_SLACK
-
-    immutable = ~schema.mutable_mask()
-    if immutable.any():
-        ok &= np.all(Z_cand[:, immutable] == Z_orig[:, immutable], axis=1)
+    ok &= np.all(Z_cand[:, schema.immutable] == Z_orig[:, schema.immutable], axis=1)
 
     raw = scaler.inverse_transform(Z_cand)
-    int_cols = schema.integer_mask()
-    if int_cols.any():
-        frac = np.abs(raw[:, int_cols] - np.round(raw[:, int_cols]))
-        ok &= np.all(frac <= 1e-9, axis=1)
-    for cols in schema.onehot_groups().values():
-        block = raw[:, cols]
-        ok &= np.abs(block.sum(axis=1) - 1.0) <= 1e-9
-        ok &= np.all(np.abs(block - np.round(block)) <= 1e-9, axis=1)
-
-    lo, hi = schema.bounds()
-    ok &= np.all((raw >= lo - 1e-9) & (raw <= hi + 1e-9), axis=1)
+    typed = raw[:, schema.typed]
+    ok &= np.all(np.abs(typed - np.round(typed)) <= 1e-9, axis=1)
+    ok &= np.all(np.abs(schema.per_group(raw, np.sum) - 1.0) <= 1e-9, axis=1)
+    ok &= np.all((raw >= schema.lo - 1e-9) & (raw <= schema.hi + 1e-9), axis=1)
 
     if include_constraints:
         ok &= check(cs, raw, cfg)

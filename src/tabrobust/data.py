@@ -4,13 +4,17 @@ A schema describes each feature's name, kind (continuous / integer /
 categorical one-hot column), bounds, and whether an attacker may alter
 it. Datasets are row-major float matrices with binary labels. Schemas
 and datasets round-trip through JSON + RFC-4180 CSV.
+
+A schema reads its features once, when it is built: the masks, bounds,
+column slots and one-hot layout that the attacks and Cutmix use are
+read-only arrays on it, and its features are a tuple, so none go stale.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -35,8 +39,6 @@ class FeatureMetadata:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown feature kind {self.kind!r}")
-        if self.min > self.max:
-            raise DataError(f"feature {self.name!r}: min {self.min} > max {self.max}")
         if self.kind == "integer":
             # Bounds must be integers that float64 holds exactly, so that
             # projection can round onto them and mutation can draw in them.
@@ -46,20 +48,70 @@ class FeatureMetadata:
                         f"integer feature {self.name!r}: bound {bound!r} is not a "
                         "finite integer"
                     )
-        if self.kind == "categorical" and self.onehot_group is None:
-            raise DataError(f"categorical feature {self.name!r} needs an onehot_group")
+        if not self.min <= self.max:  # also false for a NaN bound
+            raise DataError(f"feature {self.name!r}: need min <= max, got {self.min}, {self.max}")
+        if (self.kind == "categorical") != (self.onehot_group is not None):
+            raise DataError(f"feature {self.name!r}: onehot_group set iff kind is categorical")
 
 
 @dataclass
 class DatasetSchema:
-    features: list[FeatureMetadata]
+    """Features and the critical class, plus the column facts the attacks
+    and Cutmix read, built once as read-only arrays: per column the
+    `mutable`, `integer` and `typed` (integer or categorical) masks,
+    bounds `lo`, `hi` and `slot_of`; column indices `immutable` and
+    `int_cols`; the slots (each one-hot group whole, every other column
+    alone) and groups in order of first column, as their columns one
+    after another (`slot_cols`, `group_cols`) and sizes (`slot_sizes`,
+    `group_sizes`); the `group_keys`; and each group column's group and
+    position in it (`group_of`, `group_pos`).
+    """
+
+    features: tuple[FeatureMetadata, ...]
     critical_class: int = 1
 
     def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
+        feats = self.features = tuple(self.features)
+        self._index = {f.name: i for i, f in enumerate(feats)}
+        if len(self._index) != len(feats):
             raise DataError("feature names must be unique")
-        self._index = {name: i for i, name in enumerate(names)}
+        groups: dict[Union[int, str, None], list[int]] = {}
+        for i, f in enumerate(feats):
+            groups.setdefault(f.onehot_group, []).append(i)
+        slots = sorted([[i] for i in groups.pop(None, [])] + list(groups.values()))
+        cols, sizes = list(groups.values()), [len(c) for c in groups.values()]
+        self.mutable = np.array([f.mutable for f in feats], dtype=bool)
+        self.integer = np.array([f.kind == "integer" for f in feats], dtype=bool)
+        self.typed = np.array([f.kind != "continuous" for f in feats], dtype=bool)
+        self.lo = np.array([f.min for f in feats], dtype=float)
+        self.hi = np.array([f.max for f in feats], dtype=float)
+        self.immutable = np.flatnonzero(~self.mutable)
+        self.int_cols = np.flatnonzero(self.integer)
+        self.slot_cols = np.array([i for c in slots for i in c], dtype=np.intp)
+        self.slot_sizes = np.array([len(c) for c in slots], dtype=np.intp)
+        slot_ids = np.repeat(np.arange(len(slots)), self.slot_sizes)
+        self.slot_of = slot_ids[np.argsort(self.slot_cols)]
+        self.group_keys = tuple(groups)
+        self.group_sizes = np.array(sizes, dtype=np.int64)
+        self.group_cols = np.array([i for c in cols for i in c], dtype=np.intp)
+        self.group_of = np.repeat(np.arange(len(sizes)), self.group_sizes)
+        self.group_pos = np.array([p for k in sizes for p in range(k)], dtype=np.intp)
+        # One (groups, k) block of columns per distinct group size k.
+        by_size = [[g for g, k in enumerate(sizes) if k == n] for n in sorted(set(sizes))]
+        self._blocks = tuple(np.array([cols[g] for g in gs], dtype=np.intp) for gs in by_size)
+        self._block_order = np.argsort([g for gs in by_size for g in gs])
+        for a in [*vars(self).values(), *self._blocks]:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def per_group(self, X: np.ndarray, reduce) -> np.ndarray:
+        """`reduce(block, axis=2)` over each one-hot group's columns of X,
+        as an (n, groups) array. One call per distinct group size reduces
+        each group exactly as `X[:, cols]` alone would; zero-padding to the
+        widest group would regroup numpy's pairwise sums from 8 columns on.
+        """
+        parts = [reduce(X[:, cols], axis=2) for cols in self._blocks]
+        return np.concatenate(parts, axis=1)[:, self._block_order] if parts else X[:, :0]
 
     @property
     def n_features(self) -> int:
@@ -67,7 +119,7 @@ class DatasetSchema:
 
     @property
     def names(self) -> list[str]:
-        return [f.name for f in self.features]
+        return list(self._index)
 
     def resolve(self, name: str) -> int:
         """Feature name -> column index. Declared names win over the
@@ -81,32 +133,22 @@ class DatasetSchema:
         raise KeyError(name)
 
     def mutable_mask(self) -> np.ndarray:
-        return np.array([f.mutable for f in self.features], dtype=bool)
+        return self.mutable
 
     def integer_mask(self) -> np.ndarray:
-        return np.array([f.kind == "integer" for f in self.features], dtype=bool)
+        return self.integer
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([f.min for f in self.features], dtype=float)
-        hi = np.array([f.max for f in self.features], dtype=float)
-        return lo, hi
+        return self.lo, self.hi
 
     def onehot_groups(self) -> dict[Union[int, str], list[int]]:
-        groups: dict[Union[int, str], list[int]] = {}
-        for i, f in enumerate(self.features):
-            if f.onehot_group is not None:
-                groups.setdefault(f.onehot_group, []).append(i)
-        return groups
+        cols = np.split(self.group_cols, np.cumsum(self.group_sizes))
+        return {key: c.tolist() for key, c in zip(self.group_keys, cols)}
 
     def column_slots(self) -> list[np.ndarray]:
         """Column groups that change together: each one-hot group whole,
         every other column alone, ordered by first column."""
-        groups = self.onehot_groups().values()
-        grouped = {i for cols in groups for i in cols}
-        slots = [np.array(cols) for cols in groups]
-        slots += [np.array([i]) for i in range(self.n_features) if i not in grouped]
-        slots.sort(key=lambda c: int(c[0]))
-        return slots
+        return np.split(self.slot_cols, np.cumsum(self.slot_sizes))[:-1]
 
     @classmethod
     def generic(cls, n_features: int, critical_class: int = 1) -> "DatasetSchema":
@@ -117,18 +159,10 @@ class DatasetSchema:
         )
 
     def to_dict(self) -> dict:
-        feats = []
-        for f in self.features:
-            d = {
-                "name": f.name,
-                "kind": f.kind,
-                "min": f.min,
-                "max": f.max,
-                "mutable": f.mutable,
-            }
-            if f.onehot_group is not None:
-                d["onehot_group"] = f.onehot_group
-            feats.append(d)
+        feats = [
+            {k: v for k, v in asdict(f).items() if k != "onehot_group" or v is not None}
+            for f in self.features
+        ]
         return {"features": feats, "critical_class": self.critical_class}
 
     @classmethod
@@ -136,12 +170,8 @@ class DatasetSchema:
         try:
             feats = [
                 FeatureMetadata(
-                    name=f["name"],
-                    kind=f.get("kind", "continuous"),
-                    min=float(f["min"]),
-                    max=float(f["max"]),
-                    mutable=bool(f.get("mutable", True)),
-                    onehot_group=f.get("onehot_group"),
+                    f["name"], f.get("kind", "continuous"), float(f["min"]), float(f["max"]),
+                    bool(f.get("mutable", True)), f.get("onehot_group"),
                 )
                 for f in d["features"]
             ]
@@ -185,37 +215,31 @@ class Dataset:
 def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
     """Bounds, integrality, and one-hot exclusivity checks.
 
-    Errors name the first offending row and column.
+    Errors name the first offending row and column: column by column,
+    bounds before integrality, then the one-hot groups in order.
     """
     if X.shape[1] != schema.n_features:
+        raise DataError(f"matrix has {X.shape[1]} columns, schema has {schema.n_features}")
+    bad = np.zeros(X.shape + (2,), dtype=bool)  # [row, column, (bounds, integrality)]
+    bad[:, :, 0] = (X < schema.lo) | (X > schema.hi)
+    typed = X[:, schema.typed]
+    bad[:, schema.typed, 1] = np.abs(typed - np.round(typed)) > 1e-9
+    first = np.flatnonzero(bad.any(axis=0))
+    if first.size:
+        j, integral = divmod(int(first[0]), 2)
+        i = np.flatnonzero(bad[:, j, integral])[0]
+        f = schema.features[j]
+        what = "is not integral" if integral else f"outside [{f.min}, {f.max}]"
+        raise DataError(f"row {i}, column {f.name!r}: value {X[i, j]!r} {what}")
+    sums = schema.per_group(X, np.sum)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        g = np.flatnonzero(off.any(axis=0))[0]
+        i = np.flatnonzero(off[:, g])[0]
         raise DataError(
-            f"matrix has {X.shape[1]} columns, schema has {schema.n_features}"
+            f"row {i}: one-hot group {schema.group_keys[g]!r} sums to {sums[i, g]!r}, "
+            "expected exactly one active column"
         )
-    lo, hi = schema.bounds()
-    for j, f in enumerate(schema.features):
-        col = X[:, j]
-        bad = np.where((col < lo[j]) | (col > hi[j]))[0]
-        if bad.size:
-            raise DataError(
-                f"row {bad[0]}, column {f.name!r}: value {col[bad[0]]!r} outside "
-                f"[{f.min}, {f.max}]"
-            )
-        if f.kind in ("integer", "categorical"):
-            frac = np.abs(col - np.round(col))
-            bad = np.where(frac > 1e-9)[0]
-            if bad.size:
-                raise DataError(
-                    f"row {bad[0]}, column {f.name!r}: value {col[bad[0]]!r} is not "
-                    "integral"
-                )
-    for group, cols in schema.onehot_groups().items():
-        sums = X[:, cols].sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > 1e-9)[0]
-        if bad.size:
-            raise DataError(
-                f"row {bad[0]}: one-hot group {group!r} sums to {sums[bad[0]]!r}, "
-                "expected exactly one active column"
-            )
 
 
 def load_dataset(
@@ -298,8 +322,7 @@ class MinMaxScaler:
 
     @classmethod
     def from_schema(cls, schema: DatasetSchema) -> "MinMaxScaler":
-        lo, hi = schema.bounds()
-        return cls().fit_bounds(lo, hi)
+        return cls().fit_bounds(schema.lo, schema.hi)
 
     def _check(self) -> None:
         if self.min_ is None:

@@ -87,16 +87,11 @@ def cutmix_tabular(
     a fresh mask up to CUTMIX_MAX_RETRIES times.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    slots = schema.column_slots()
-    rules = (
-        assignment_fix_rules(cs, schema.mutable_mask()) if cs is not None else []
-    )
+    rules = assignment_fix_rules(cs, schema.mutable) if cs is not None else []
     for _ in range(CUTMIX_MAX_RETRIES):
         p = rng.uniform(0.0, 1.0)
-        take_a = rng.random(len(slots)) < p
-        mask = np.zeros(schema.n_features, dtype=bool)
-        for s, cols in enumerate(slots):
-            mask[cols] = take_a[s]
+        take_a = rng.random(len(schema.slot_sizes)) < p
+        mask = take_a[schema.slot_of]
         x_mix, y_mix = mix_with_mask(xa, ya, xb, yb, mask)
         if cs is None or len(cs) == 0:
             return x_mix, y_mix

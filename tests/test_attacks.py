@@ -1,6 +1,7 @@
 """Attacks: schedule, projection, gradient stage, search stage, ensemble."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,14 +367,23 @@ class TestCrossover:
         mutable = schema.mutable_mask()
         slots = [c for c in schema.column_slots() if mutable[c].all()]
         assert len(slots) == 5
+        # The gene slots of the schema, of it with only the first slot
+        # mutable, and of it with none.
+        layouts = []
+        for use in (slots, slots[:1], []):
+            genes = {int(i) for c in use for i in c}
+            frozen = DatasetSchema([
+                replace(f, mutable=i in genes) for i, f in enumerate(schema.features)
+            ])
+            layouts.append((use, slot_layout(frozen)))
         for seed in range(30):
             data_rng = np.random.default_rng(seed)
             k = int(data_rng.integers(1, 12))
             PA = data_rng.uniform(0, 1, (k, schema.n_features))
             PB = data_rng.uniform(0, 1, (k, schema.n_features))
-            for use in (slots, slots[:1], []):
+            for use, layout in layouts:
                 rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-                out = _crossover_batch(rng_new, PA, PB, slot_layout(schema, use))
+                out = _crossover_batch(rng_new, PA, PB, layout)
                 assert np.array_equal(out, crossover_by_slot(rng_old, PA, PB, use))
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
@@ -402,7 +412,7 @@ class TestMutation:
     def layout(self):
         mutable = self.schema.mutable_mask()
         slots = [c for c in self.schema.column_slots() if mutable[c].all()]
-        return slots, slot_layout(self.schema, slots)
+        return slots, slot_layout(self.schema)
 
     def marked(self, seed):
         """Scaled rows whose integer and one-hot slots hold values no

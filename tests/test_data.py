@@ -65,6 +65,25 @@ class TestSchema:
         with pytest.raises(DataError, match="min"):
             FeatureMetadata("x", min=2.0, max=1.0)
 
+    @pytest.mark.parametrize("lo,hi", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(DataError, match="min"):
+            FeatureMetadata("x", min=lo, max=hi)
+        with pytest.raises(DataError, match="min"):
+            DatasetSchema.from_dict({"features": [{"name": "x", "min": lo, "max": hi}]})
+
+    def test_infinite_bounds_accepted(self):
+        schema = DatasetSchema.generic(2)
+        assert schema.bounds()[0].tolist() == [-np.inf, -np.inf]
+        assert FeatureMetadata("x", min=-np.inf, max=np.inf).max == np.inf
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_onehot_group_only_on_categorical(self, kind):
+        with pytest.raises(DataError, match="onehot_group"):
+            FeatureMetadata("x", kind, 0, 1, onehot_group="g")
+        with pytest.raises(DataError, match="onehot_group"):
+            FeatureMetadata("x", "categorical", 0, 1)
+
     @pytest.mark.parametrize(
         "lo,hi",
         [
