@@ -14,7 +14,8 @@ class AttackBudget:
     """Perturbation and iteration budget, in scaled [0, 1] space.
 
     Defaults are the standard ensemble configuration: 10 gradient
-    iterations; 100 generations of 100 offspring with 200 survivors.
+    iterations; at most 100 generations of 100 offspring with 200
+    survivors (a row's search stops once it holds a validated success).
     `lam` weighs the constraint penalty inside the gradient attack's
     objective (adapted upward when the best candidate stays invalid).
     """

@@ -3,12 +3,14 @@
 Rows carrying a candidate from an earlier budget are settled first; the
 gradient attack then runs batched over the rest, and the search attack
 runs row by row (one RNG stream per row) on whatever is still not
-attacked. Every stage's candidates go through one settle step: one
-batched validation, the attempt recorded, and a row finalized by the
-first stage whose candidate is misclassified and valid. Rows no stage
-wins keep the original input. Per-stage best attempts are kept so the
-harness can re-validate the same outputs under different validation
-modes (e.g. ignoring domain constraints).
+attacked; `n_gen` is a maximum, as each row's search stops once it
+holds a success the settle step will accept. Every stage's candidates
+go through one settle step: one batched validation, the attempt
+recorded, and a row finalized by the first stage whose candidate is
+misclassified and valid. Rows no stage wins keep the original input.
+Per-stage best attempts are kept so the harness can re-validate the
+same outputs under different validation modes (e.g. ignoring domain
+constraints).
 """
 
 from __future__ import annotations

@@ -21,6 +21,13 @@ Hits are written back with `np.where` over column blocks, so slots
 that are not hit keep their bytes, and how much of the stream a
 generation uses depends only on the offspring count and the layout.
 
+`n_gen` is a maximum. A row's search stops once its best candidate is
+a success that `validity_mask` accepts, the rule `caa` finalizes by:
+once after the seed population, then after each generation. A row won
+by its seed population makes no survival sort. The check draws no
+random numbers, so a row that is never won runs all `n_gen`
+generations exactly as without it.
+
 The attack is gradient-free and fully reproducible from its seed.
 """
 
@@ -43,6 +50,7 @@ from ..expressions import ConstraintSet
 from ..mlp import ReferenceModel
 from .budget import AttackBudget
 from .projection import distance, project
+from .validation import validity_mask
 
 MUTATION_PROB = 0.2
 SIGMA_FRACTION = 0.1  # Gaussian mutation sigma = eps * fraction
@@ -208,7 +216,12 @@ def moeva(
     row_seed: Optional[int] = None,
 ) -> SearchAttackOutput:
     """Attack one scaled row; `row_seed` overrides the budget seed for
-    per-row stream derivation."""
+    per-row stream derivation.
+
+    Runs at most `budget.n_gen` generations and stops after the first
+    one (or the seed population) that leaves a validated success as the
+    best candidate. The trace holds one entry per evaluated population.
+    """
     z0 = np.asarray(z, dtype=float).ravel()
     d = z0.shape[0]
     scaler = model.scaler
@@ -275,8 +288,18 @@ def moeva(
                 success=bool(succ[top]),
             )
 
+    def won() -> bool:
+        """The stop rule: the best candidate is a success that `caa`'s
+        settle step will accept."""
+        return best.success and bool(
+            validity_mask(schema, scaler, cs, z0, best.candidate, budget, cfg)[0]
+        )
+
     consider(pop, F, mis)
     trace = [tuple(F.min(axis=0))]
+    if won():
+        best.trace = trace
+        return best
     rank, crowd = rank_and_crowding(F)
 
     for _ in range(budget.n_gen):
@@ -297,6 +320,8 @@ def moeva(
         keep, rank, crowd = survival_select(F_merged, budget.n_pop)
         pop, F = np.vstack([pop, off])[keep], F_merged[keep]
         trace.append(tuple(F.min(axis=0)))
+        if won():
+            break
 
     best.trace = trace
     return best

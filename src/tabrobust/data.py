@@ -216,12 +216,13 @@ def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
     """Bounds, integrality, and one-hot exclusivity checks.
 
     Errors name the first offending row and column: column by column,
-    bounds before integrality, then the one-hot groups in order.
+    bounds before integrality, then the one-hot groups in order. NaN is
+    out of bounds.
     """
     if X.shape[1] != schema.n_features:
         raise DataError(f"matrix has {X.shape[1]} columns, schema has {schema.n_features}")
     bad = np.zeros(X.shape + (2,), dtype=bool)  # [row, column, (bounds, integrality)]
-    bad[:, :, 0] = (X < schema.lo) | (X > schema.hi)
+    bad[:, :, 0] = ~((X >= schema.lo) & (X <= schema.hi))
     typed = X[:, schema.typed]
     bad[:, schema.typed, 1] = np.abs(typed - np.round(typed)) > 1e-9
     first = np.flatnonzero(bad.any(axis=0))
@@ -313,6 +314,8 @@ class MinMaxScaler:
     def fit_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "MinMaxScaler":
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise DataError("scaler bounds must be finite")
         if np.any(hi < lo):
             raise DataError("scaler bounds must satisfy min <= max")
         self.min_ = lo

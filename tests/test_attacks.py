@@ -45,6 +45,8 @@ from tabrobust.harness import select_attack_set
 from tabrobust.mlp import ReferenceModel
 from tabrobust.parser import parse_constraint
 
+moeva_module = importlib.import_module("tabrobust.attacks.moeva")
+
 # Hand-iterated from p_0 = 0, p_1 = 0.22,
 # p_{j+1} = p_j + max(p_j - p_{j-1} - 0.03, 0.06):
 # p = 0, 0.22, 0.41, 0.57, 0.70, 0.80, 0.87, 0.93, 0.99, 1.05, ...
@@ -567,8 +569,9 @@ class TestMoeva:
         assert out.misclassified and out.success
 
     def test_best_row_is_not_evaluated_again(self, small_bench, monkeypatch):
-        # One forward pass for the seed population and one per generation;
-        # the best row's flag, penalty and distance come from those passes.
+        # One forward pass per evaluated population, the seed population
+        # and each generation run, which is one per trace entry; the best
+        # row's flag, penalty and distance come from those passes.
         model, dataset, schema, cs = small_bench
         budget = AttackBudget(eps=0.5, n_gen=6, n_pop=20, n_off=12, seed=2)
         idx = select_attack_set(model, dataset, schema, cap=3, seed=2)
@@ -583,12 +586,64 @@ class TestMoeva:
 
         monkeypatch.setattr(ReferenceModel, "_forward", counting_forward)
         out = moeva(model, cs, z, y, budget, schema, row_seed=int(idx[0]))
-        assert forwards[0] == budget.n_gen + 1
+        assert forwards[0] == len(out.trace)
         monkeypatch.undo()
         best = out.candidate[None]
         assert out.misclassified == (model.predict_proba_scaled(best).argmax() != y)
         assert out.penalty == total_penalty(cs, model.scaler.inverse_transform(best))[0]
         assert out.dist == distance(best, z[None], budget.norm)[0]
+
+    @staticmethod
+    def full_run(monkeypatch, *args, **kwargs):
+        """`moeva` with the stop rule's check never accepting: all n_gen
+        generations, as before the rule."""
+        with monkeypatch.context() as m:
+            m.setattr(
+                moeva_module, "validity_mask",
+                lambda schema, scaler, cs, Z_orig, Z_cand, *rest: np.zeros(
+                    len(np.atleast_2d(Z_cand)), dtype=bool
+                ),
+            )
+            return moeva(*args, **kwargs)
+
+    def test_stop_truncates_the_search_on_won_rows(self, small_bench, monkeypatch):
+        model, dataset, schema, cs = small_bench
+        budget = AttackBudget(eps=0.5, n_gen=15, n_pop=30, n_off=20, seed=2)
+        idx = select_attack_set(model, dataset, schema, cap=3, seed=2)
+        Z = model.scaler.transform(dataset.X[idx])
+        for z, r in zip(Z, idx):
+            args = (model, cs, z, int(dataset.y[r]), budget, schema)
+            out = moeva(*args, row_seed=int(r))
+            full = self.full_run(monkeypatch, *args, row_seed=int(r))
+            assert len(out.trace) < len(full.trace) == budget.n_gen + 1
+            assert out.trace == full.trace[: len(out.trace)]
+            assert out.success and full.success
+            best = out.candidate[None]
+            assert validity_mask(schema, model.scaler, cs, z, best, budget,
+                                 PenaltyConfig())[0]
+            assert model.predict_proba_scaled(best).argmax() != dataset.y[r]
+
+    def test_stop_leaves_never_won_rows_unchanged(self, small_bench, monkeypatch):
+        # The eps=0 toy, and a row the search does not win at a small eps,
+        # where any random draw the stop check took would change the run.
+        schema, model, cs = self.toy()
+        budget = AttackBudget(eps=0.0, n_gen=5, n_pop=10, n_off=10, seed=1)
+        runs = [((model, cs, np.array([0.5, 0.5]), 0, budget, schema), 0)]
+        model, dataset, schema, cs = small_bench
+        budget = AttackBudget(eps=0.1, n_gen=8, n_pop=20, n_off=12, seed=3)
+        r = select_attack_set(model, dataset, schema, cap=1, seed=3)[0]
+        z = model.scaler.transform(dataset.X[r][None])[0]
+        runs.append(((model, cs, z, int(dataset.y[r]), budget, schema), int(r)))
+        for args, row_seed in runs:
+            out = moeva(*args, row_seed=row_seed)
+            full = self.full_run(monkeypatch, *args, row_seed=row_seed)
+            assert not out.success
+            assert len(out.trace) == len(full.trace) == args[4].n_gen + 1
+            assert out.trace == full.trace
+            assert np.array_equal(out.candidate, full.candidate)
+            assert (out.misclassified, out.penalty, out.dist) == (
+                full.misclassified, full.penalty, full.dist
+            )
 
     def test_reproducible_for_fixed_seed(self):
         schema, model, cs = self.toy()

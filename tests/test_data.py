@@ -132,6 +132,24 @@ class TestValidation:
         with pytest.raises(DataError, match="not integral"):
             validate_against_schema(X, small_schema())
 
+    @pytest.mark.parametrize("j,name", [(0, "a"), (1, "c"), (3, "g_b")])
+    def test_nan_is_out_of_bounds(self, j, name):
+        # NaN fails every comparison: it must still count as out of
+        # bounds, in a continuous, an integer and a one-hot column.
+        schema = DatasetSchema(
+            [
+                FeatureMetadata("a", "continuous", 0.0, 10.0),
+                FeatureMetadata("c", "integer", 0.0, 5.0),
+                FeatureMetadata("g_a", "categorical", 0, 1, onehot_group="g"),
+                FeatureMetadata("g_b", "categorical", 0, 1, onehot_group="g"),
+            ]
+        )
+        X = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 4.0, 0.0, 1.0]])
+        validate_against_schema(X, schema)
+        X[1, j] = np.nan
+        with pytest.raises(DataError, match=rf"row 1, column '{name}': value \S*nan\S* outside"):
+            validate_against_schema(X, schema)
+
     def test_onehot_exclusivity(self):
         schema = DatasetSchema(
             [
@@ -170,6 +188,13 @@ class TestLoadDataset:
             tmp_path, "a,b,c,label\n1.0,0.5,2,1\n99.0,0.0,1,0\n"
         )
         with pytest.raises(DataError, match=r"row 1, column 'a'"):
+            load_dataset(csv_path, schema_path)
+
+    def test_nan_value_reports_row(self, tmp_path):
+        csv_path, schema_path = self.write(
+            tmp_path, "a,b,c,label\n1.0,0.5,2,1\n2.0,0.0,nan,0\n"
+        )
+        with pytest.raises(DataError, match=r"row 1, column 'c': value \S*nan\S* outside"):
             load_dataset(csv_path, schema_path)
 
     def test_empty_body(self, tmp_path):
@@ -221,3 +246,15 @@ class TestScaler:
         s = MinMaxScaler.from_schema(small_schema())
         z = s.transform(np.array([[10.0, -1.0, 5.0]]))
         assert np.allclose(z, [[1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("lo,hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # An infinite width would map every value to NaN.
+        with pytest.raises(DataError, match="finite"):
+            MinMaxScaler().fit_bounds([0.0, lo], [1.0, hi])
+        with pytest.raises(DataError, match="finite"):
+            MinMaxScaler().fit(np.array([[0.0, lo], [1.0, hi]]))
+
+    def test_infinite_schema_bounds_rejected(self):
+        with pytest.raises(DataError, match="finite"):
+            MinMaxScaler.from_schema(DatasetSchema.generic(2))

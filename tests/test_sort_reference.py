@@ -63,13 +63,17 @@ def test_moeva_run_matches_reference_sort(small_bench, monkeypatch):
             return sort(F)
 
         monkeypatch.setattr(moeva_module, "rank_and_crowding", counting)
-        outs = [
-            moeva_module.moeva(model, cs, Z[i], int(dataset.y[r]), budget, schema,
-                               row_seed=int(r))
-            for i, r in enumerate(idx)
-        ]
-        # One sort for the seed population and one per generation.
-        assert calls[0] == len(idx) * (budget.n_gen + 1)
+        outs = []
+        for i, r in enumerate(idx):
+            calls[0] = 0
+            out = moeva_module.moeva(model, cs, Z[i], int(dataset.y[r]), budget, schema,
+                                     row_seed=int(r))
+            # One sort per survival step run, plus the seed population's
+            # sort unless the seed population won the row (then the
+            # trace has no survival step, as n_gen >= 1).
+            survivals = len(out.trace) - 1
+            assert calls[0] == survivals + (survivals > 0)
+            outs.append(out)
         return outs
 
     outs = run(moeva_module.rank_and_crowding)
