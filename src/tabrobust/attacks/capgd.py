@@ -47,8 +47,6 @@ class GradientAttackOutput:
 
     candidates: np.ndarray
     misclassified: np.ndarray
-    penalties: np.ndarray
-    distances: np.ndarray
     loss_trace: list[np.ndarray] = field(default_factory=list)
 
 
@@ -112,8 +110,6 @@ def capgd(
         return GradientAttackOutput(
             candidates=best_cand,
             misclassified=mis0,
-            penalties=pen0,
-            distances=np.zeros(n),
             loss_trace=trace,
         )
 
@@ -204,12 +200,9 @@ def capgd(
             improvements = np.zeros(n)
             prev_checkpoint = it
 
-    final_mis = best_key[:, 0] == 0.0
     return GradientAttackOutput(
         candidates=best_cand,
-        misclassified=final_mis,
-        penalties=best_key[:, 1].copy(),
-        distances=best_key[:, 2].copy(),
+        misclassified=best_key[:, 0] == 0.0,
         loss_trace=trace,
     )
 

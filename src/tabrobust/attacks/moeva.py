@@ -62,8 +62,6 @@ class SearchAttackOutput:
 
     candidate: np.ndarray
     misclassified: bool
-    penalty: float
-    dist: float
     success: bool  # misclassified and feasible (ball + penalty tolerance)
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
@@ -177,11 +175,6 @@ def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, crowd
 
 
-def nondominated_sort(F: np.ndarray) -> np.ndarray:
-    """Front index per row of an (n, m) objective matrix (minimization)."""
-    return rank_and_crowding(F)[0]
-
-
 def survival_select(
     F: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,8 +276,6 @@ def moeva(
             best = SearchAttackOutput(
                 candidate=pop_arr[top].copy(),
                 misclassified=bool(mis[top]),
-                penalty=float(F_arr[top, 2]),
-                dist=float(F_arr[top, 1]),
                 success=bool(succ[top]),
             )
 

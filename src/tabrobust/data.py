@@ -212,6 +212,24 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _faults(X: np.ndarray, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The schema's per-cell rules over X: bad[row, column, (bounds,
+    integrality)], with NaN out of bounds, and each one-hot group's sums
+    with whether they are off one."""
+    bad = np.zeros(X.shape + (2,), dtype=bool)
+    bad[:, :, 0] = ~((X >= schema.lo) & (X <= schema.hi))
+    typed = X[:, schema.typed]
+    bad[:, schema.typed, 1] = np.abs(typed - np.round(typed)) > 1e-9
+    sums = schema.per_group(X, np.sum)
+    return bad, sums, np.abs(sums - 1.0) > 1e-9
+
+
+def fits_schema(X: np.ndarray, schema: DatasetSchema) -> np.ndarray:
+    """Row mask: True where `validate_against_schema` finds no fault."""
+    bad, _, off = _faults(X, schema)
+    return ~bad.any(axis=(1, 2)) & ~off.any(axis=1)
+
+
 def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
     """Bounds, integrality, and one-hot exclusivity checks.
 
@@ -221,10 +239,7 @@ def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
     """
     if X.shape[1] != schema.n_features:
         raise DataError(f"matrix has {X.shape[1]} columns, schema has {schema.n_features}")
-    bad = np.zeros(X.shape + (2,), dtype=bool)  # [row, column, (bounds, integrality)]
-    bad[:, :, 0] = ~((X >= schema.lo) & (X <= schema.hi))
-    typed = X[:, schema.typed]
-    bad[:, schema.typed, 1] = np.abs(typed - np.round(typed)) > 1e-9
+    bad, sums, off = _faults(X, schema)
     first = np.flatnonzero(bad.any(axis=0))
     if first.size:
         j, integral = divmod(int(first[0]), 2)
@@ -232,8 +247,6 @@ def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
         f = schema.features[j]
         what = "is not integral" if integral else f"outside [{f.min}, {f.max}]"
         raise DataError(f"row {i}, column {f.name!r}: value {X[i, j]!r} {what}")
-    sums = schema.per_group(X, np.sum)
-    off = np.abs(sums - 1.0) > 1e-9
     if off.any():
         g = np.flatnonzero(off.any(axis=0))[0]
         i = np.flatnonzero(off[:, g])[0]

@@ -1,9 +1,14 @@
 """Defenses: tabular Cutmix augmentation and adversarial training.
 
-Cutmix combines two rows through a random per-column mask (one-hot
-groups move whole); the label follows the majority parent. Mixtures
-that violate the constraint set are repaired with assignment-form fix
-rules and dropped if still invalid, so augmented data is always valid.
+Cutmix combines two rows through a random per-slot mask (one-hot
+groups move whole); the label follows the majority parent. Mixtures are
+drawn in blocks: the block is checked once, the rows that fail are
+repaired with assignment-form fix rules and checked again, and a row is
+kept only if it then passes the constraint set and fits the schema's
+bounds, integrality and one-hot rules (a repair can push a feature out
+of its bounds). A rejected draw is replaced by a fresh pair and mask in
+the next block, so every augmented row passes both `check` and
+`validate_against_schema`.
 
 Adversarial training replaces a fraction of each mini-batch with
 gradient-attack candidates generated against the current weights;
@@ -14,6 +19,7 @@ trains on constraint-violating inputs.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -23,7 +29,7 @@ import numpy as np
 from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, load_dataset
+from .data import Dataset, DatasetSchema, fits_schema, load_dataset
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
@@ -42,8 +48,8 @@ class AugmentConfig:
     def __post_init__(self):
         if self.method not in ("none", "cutmix"):
             raise ValueError(f"unknown augmentation method {self.method!r}")
-        if self.ratio < 0:
-            raise ValueError("ratio must be nonnegative")
+        if not (math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio}")
 
 
 @dataclass
@@ -59,49 +65,39 @@ class ATConfig:
             raise ValueError("replay_fraction must be in [0, 1]")
 
 
-def mix_with_mask(
-    xa: np.ndarray, ya: int, xb: np.ndarray, yb: int, mask: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Combine rows: mask True takes the coordinate from xa. The label
-    follows the parent contributing at least half the columns."""
-    x_mix = np.where(mask, xa, xb)
-    y_mix = ya if mask.mean() >= 0.5 else yb
-    return x_mix, int(y_mix)
-
-
 def cutmix_tabular(
-    xa: np.ndarray,
-    ya: int,
-    xb: np.ndarray,
-    yb: int,
-    seed: Union[int, np.random.Generator],
+    X: np.ndarray,
+    y: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
     schema: DatasetSchema,
-    cs: Optional[ConstraintSet] = None,
+    cs: ConstraintSet,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-) -> Optional[tuple[np.ndarray, int]]:
-    """Mix two raw rows; None when no valid mixture was found.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a block of `count` mixtures of row pairs of (X, y); returns
+    the accepted ones, in draw order.
 
-    The mask keeps each column slot from xa with probability p, where p
-    is drawn once per attempt from Uniform(0, 1). Violating mixtures
-    are repaired with derivable fix rules, re-checked, and retried with
-    a fresh mask up to CUTMIX_MAX_RETRIES times.
+    Draws, in this order: the (count, 2) parent rows, one p ~ U(0, 1)
+    per mixture, and a (count, slots) uniform block; a column slot comes
+    from the first parent where its draw is below p. The label is the
+    label of the parent giving at least half the columns. The block is
+    checked once; only the failing rows are repaired with the derivable
+    fix rules and checked again. A mixture is accepted when it passes
+    `check` and fits the schema's bounds, integrality and one-hot rules.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    rules = assignment_fix_rules(cs, schema.mutable) if cs is not None else []
-    for _ in range(CUTMIX_MAX_RETRIES):
-        p = rng.uniform(0.0, 1.0)
-        take_a = rng.random(len(schema.slot_sizes)) < p
-        mask = take_a[schema.slot_of]
-        x_mix, y_mix = mix_with_mask(xa, ya, xb, yb, mask)
-        if cs is None or len(cs) == 0:
-            return x_mix, y_mix
-        if not check(cs, x_mix, cfg):
-            if rules:
-                x_mix = fix(rules, x_mix, cfg)
-            if not check(cs, x_mix, cfg):
-                continue
-        return x_mix, y_mix
-    return None
+    a, b = rng.integers(0, len(X), (count, 2)).T
+    p = rng.uniform(0.0, 1.0, count)
+    take_a = (rng.random((count, len(schema.slot_sizes))) < p[:, None])[:, schema.slot_of]
+    X_mix = np.where(take_a, X[a], X[b])
+    y_mix = np.where(take_a.mean(axis=1) >= 0.5, y[a], y[b])
+    ok = check(cs, X_mix, cfg)
+    rules = assignment_fix_rules(cs, schema.mutable)
+    bad = ~ok
+    if rules and bad.any():
+        X_mix[bad] = fix(rules, X_mix[bad], cfg)
+        ok[bad] = check(cs, X_mix[bad], cfg)
+    ok &= fits_schema(X_mix, schema)
+    return X_mix[ok], y_mix[ok]
 
 
 def augment_dataset(
@@ -111,35 +107,30 @@ def augment_dataset(
     config: AugmentConfig,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> Dataset:
-    """Append config.ratio * n_rows cutmix mixtures, all checker-valid."""
+    """Append round(config.ratio * n_rows) Cutmix mixtures, each valid.
+
+    Draws blocks of that many mixtures, at most CUTMIX_MAX_RETRIES, and
+    keeps the accepted rows in draw order until there are enough.
+    """
     if config.method == "none" or config.ratio == 0:
         return dataset
     rng = np.random.default_rng(config.seed)
-    n = dataset.n_rows
-    target = int(round(config.ratio * n))
-    new_rows = []
-    new_labels = []
-    attempts = 0
-    while len(new_rows) < target and attempts < 20 * target:
-        attempts += 1
-        i, j = rng.integers(0, n, size=2)
-        mixed = cutmix_tabular(
-            dataset.X[i], int(dataset.y[i]), dataset.X[j], int(dataset.y[j]),
-            rng, schema, cs, cfg,
-        )
-        if mixed is None:
-            continue
-        new_rows.append(mixed[0])
-        new_labels.append(mixed[1])
-    if len(new_rows) < target:
+    target = int(round(config.ratio * dataset.n_rows))
+    X_new, y_new = dataset.X[:0], dataset.y[:0]
+    for _ in range(CUTMIX_MAX_RETRIES):
+        if len(y_new) >= target:
+            break
+        X_mix, y_mix = cutmix_tabular(dataset.X, dataset.y, target, rng, schema, cs, cfg)
+        X_new, y_new = np.vstack([X_new, X_mix]), np.concatenate([y_new, y_mix])
+    if len(y_new) < target:
         logger.warning(
-            "augmentation produced %d/%d rows before giving up", len(new_rows), target
+            "augmentation produced %d/%d rows before giving up", len(y_new), target
         )
-    if not new_rows:
+    if not len(y_new):
         return dataset
-    X = np.vstack([dataset.X, np.array(new_rows)])
-    y = np.concatenate([dataset.y, np.array(new_labels, dtype=int)])
-    return Dataset(X, y)
+    return Dataset(
+        np.vstack([dataset.X, X_new[:target]]), np.concatenate([dataset.y, y_new[:target]])
+    )
 
 
 def import_augmented_rows(

@@ -43,6 +43,7 @@ tolerance of 1e-2 absorbs float noise after unscaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -70,10 +71,10 @@ class PenaltyConfig:
     strict_margin: float = 1e-6
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.strict_margin <= 0:
-            raise ValueError("strict_margin must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        if not (math.isfinite(self.strict_margin) and self.strict_margin > 0):
+            raise ValueError(f"strict_margin must be finite and positive, got {self.strict_margin}")
 
 
 DEFAULT_PENALTY_CONFIG = PenaltyConfig()

@@ -12,13 +12,14 @@ adaptive moments; everything is driven by one seeded generator, so a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import Dataset, DatasetSchema, MinMaxScaler
+from .data import DataError, Dataset, DatasetSchema, MinMaxScaler
 from .metrics import auc_score
 
 CHECKPOINT_VERSION = 1
@@ -45,8 +46,10 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs must be >= 0, batch size and lr positive")
+        if self.epochs < 0 or self.batch_size <= 0:
+            raise ValueError("epochs must be >= 0 and batch size positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
 
@@ -162,10 +165,13 @@ class ReferenceModel:
         d = json.loads(Path(path).read_text())
         if d.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-        model = cls(d["n_features"], hidden=tuple(d["hidden"]))
-        model.weights = [np.array(w, dtype=float) for w in d["weights"]]
-        model.biases = [np.array(b, dtype=float) for b in d["biases"]]
-        model.scaler = MinMaxScaler.from_dict(d["scaler"]) if d["scaler"] else None
+        try:
+            model = cls(d["n_features"], hidden=tuple(d["hidden"]))
+            model.weights = [np.array(w, dtype=float) for w in d["weights"]]
+            model.biases = [np.array(b, dtype=float) for b in d["biases"]]
+            model.scaler = MinMaxScaler.from_dict(d["scaler"]) if d["scaler"] else None
+        except KeyError as e:
+            raise DataError(f"model missing field {e}") from e
         return model
 
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
+
+from .data import DataError
 
 CSV_HEADER = [
     "model",
@@ -60,7 +62,8 @@ class BudgetEntry:
 
     @classmethod
     def from_dict(cls, d: dict, wall_time: float = 0.0) -> "BudgetEntry":
-        return cls(wall_time=wall_time, **d)
+        names = [f.name for f in fields(cls) if f.name != "wall_time"]
+        return cls(wall_time=wall_time, **{name: d[name] for name in names})
 
 
 @dataclass
@@ -105,19 +108,22 @@ class EvaluationReport:
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
         times = d.get("timing", {}).get("attack_seconds", [])
-        budgets = [
-            BudgetEntry.from_dict(b, wall_time=times[i] if i < len(times) else 0.0)
-            for i, b in enumerate(d["budgets"])
-        ]
-        return cls(
-            model=d["model"],
-            defense=d["defense"],
-            seed=d["seed"],
-            clean=d["clean"],
-            attack_set_size=d["attack_set_size"],
-            budgets=budgets,
-            config=d.get("config", {}),
-        )
+        try:
+            budgets = [
+                BudgetEntry.from_dict(b, wall_time=times[i] if i < len(times) else 0.0)
+                for i, b in enumerate(d["budgets"])
+            ]
+            return cls(
+                model=d["model"],
+                defense=d["defense"],
+                seed=d["seed"],
+                clean=d["clean"],
+                attack_set_size=d["attack_set_size"],
+                budgets=budgets,
+                config=d.get("config", {}),
+            )
+        except KeyError as e:
+            raise DataError(f"report missing field {e}") from e
 
     def comparable_dict(self) -> dict:
         """Everything except wall-clock timing (for determinism checks)."""

@@ -24,12 +24,12 @@ from tabrobust.attacks.moeva import (
     SIGMA_FRACTION,
     _crossover_batch,
     _mutate,
-    nondominated_sort,
+    rank_and_crowding,
     slot_layout,
     survival_select,
 )
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
-from tabrobust.engine import PenaltyConfig, total_penalty
+from tabrobust.engine import PenaltyConfig
 from tabrobust.expressions import (
     Constant,
     ConstraintSet,
@@ -260,7 +260,9 @@ class TestCapgd:
         idx = select_attack_set(model, dataset, schema, cap=25, seed=0)
         Z = model.scaler.transform(dataset.X[idx])
         out = capgd(model, cs, Z, dataset.y[idx], budget, schema, cfg)
-        hits = out.misclassified & (out.penalties <= cfg.tolerance)
+        hits = out.misclassified & validity_mask(
+            schema, model.scaler, cs, Z, out.candidates, budget, cfg
+        )
         assert hits.sum() >= 1
 
     def test_deterministic(self, small_bench):
@@ -313,13 +315,13 @@ class TestNondominatedSort:
                 [3.0, 3.0],  # dominated by all but the extremes
             ]
         )
-        rank = nondominated_sort(F)
+        rank = rank_and_crowding(F)[0]
         assert rank[0] == 0
         assert rank[4] == max(rank)
 
     def test_incomparable_share_front(self):
         F = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert nondominated_sort(F).tolist() == [0, 0]
+        assert rank_and_crowding(F)[0].tolist() == [0, 0]
 
     def test_survival_keeps_extremes(self):
         rng = np.random.default_rng(0)
@@ -327,7 +329,7 @@ class TestNondominatedSort:
         keep, rank, crowd = survival_select(F, 10)
         assert len(keep) == len(rank) == len(crowd) == 10
         kept = F[keep]
-        front0 = F[nondominated_sort(F) == 0]
+        front0 = F[rank_and_crowding(F)[0] == 0]
         assert front0[:, 2].min() == kept[:, 2].min()
 
 
@@ -536,8 +538,7 @@ class TestMoeva:
 
         out = moeva(model, cs, z0, 0, budget, schema, cfg, row_seed=3)
         assert out.success
-        assert out.dist <= budget.eps + 1e-9
-        assert out.penalty <= cfg.tolerance
+        assert validity_mask(schema, model.scaler, cs, z0, out.candidate, budget, cfg)[0]
         assert model.predict_proba_scaled(out.candidate[None]).argmax() == 1
 
     def test_zero_eps_all_offspring_collapse(self):
@@ -571,7 +572,7 @@ class TestMoeva:
     def test_best_row_is_not_evaluated_again(self, small_bench, monkeypatch):
         # One forward pass per evaluated population, the seed population
         # and each generation run, which is one per trace entry; the best
-        # row's flag, penalty and distance come from those passes.
+        # row's flag comes from those passes.
         model, dataset, schema, cs = small_bench
         budget = AttackBudget(eps=0.5, n_gen=6, n_pop=20, n_off=12, seed=2)
         idx = select_attack_set(model, dataset, schema, cap=3, seed=2)
@@ -590,8 +591,6 @@ class TestMoeva:
         monkeypatch.undo()
         best = out.candidate[None]
         assert out.misclassified == (model.predict_proba_scaled(best).argmax() != y)
-        assert out.penalty == total_penalty(cs, model.scaler.inverse_transform(best))[0]
-        assert out.dist == distance(best, z[None], budget.norm)[0]
 
     @staticmethod
     def full_run(monkeypatch, *args, **kwargs):
@@ -641,9 +640,7 @@ class TestMoeva:
             assert len(out.trace) == len(full.trace) == args[4].n_gen + 1
             assert out.trace == full.trace
             assert np.array_equal(out.candidate, full.candidate)
-            assert (out.misclassified, out.penalty, out.dist) == (
-                full.misclassified, full.penalty, full.dist
-            )
+            assert out.misclassified == full.misclassified
 
     def test_reproducible_for_fixed_seed(self):
         schema, model, cs = self.toy()
@@ -710,7 +707,9 @@ class TestRestrictedDomainConstraints:
             search = moeva(model, cs, z0[0], y, budget, schema, cfg, row_seed=seed)
             grad = capgd(model, cs, z0, np.array([y]), budget, schema, cfg)
             claimed = [search.candidate[None]] if search.success else []
-            if grad.misclassified[0] and grad.penalties[0] <= cfg.tolerance:
+            if grad.misclassified[0] and validity_mask(
+                schema, model.scaler, cs, z0, grad.candidates, budget, cfg
+            )[0]:
                 claimed.append(grad.candidates)
             for cand in claimed:
                 assert validity_mask(schema, model.scaler, cs, z0, cand, budget, cfg)[0]

@@ -9,6 +9,7 @@ from tabrobust.data import (
     DatasetSchema,
     FeatureMetadata,
     MinMaxScaler,
+    fits_schema,
     load_dataset,
     save_dataset,
     validate_against_schema,
@@ -149,6 +150,34 @@ class TestValidation:
         X[1, j] = np.nan
         with pytest.raises(DataError, match=rf"row 1, column '{name}': value \S*nan\S* outside"):
             validate_against_schema(X, schema)
+
+    def test_fits_schema_marks_the_rows_validation_rejects(self):
+        schema = DatasetSchema(
+            [
+                FeatureMetadata("a", "continuous", 0.0, 10.0),
+                FeatureMetadata("c", "integer", 0.0, 5.0),
+                FeatureMetadata("g_a", "categorical", 0, 1, onehot_group="g"),
+                FeatureMetadata("g_b", "categorical", 0, 1, onehot_group="g"),
+            ]
+        )
+        X = np.array(
+            [
+                [1.0, 2.0, 1.0, 0.0],
+                [11.0, 2.0, 1.0, 0.0],  # out of bounds
+                [1.0, 2.5, 1.0, 0.0],  # not integral
+                [1.0, 2.0, 1.0, 1.0],  # two active group columns
+                [np.nan, 2.0, 0.0, 1.0],
+                [0.0, 5.0, 0.0, 1.0],
+            ]
+        )
+        fits = fits_schema(X, schema)
+        assert fits.tolist() == [True, False, False, False, False, True]
+        for row, ok in zip(X, fits):
+            if ok:
+                validate_against_schema(row[None], schema)
+            else:
+                with pytest.raises(DataError):
+                    validate_against_schema(row[None], schema)
 
     def test_onehot_exclusivity(self):
         schema = DatasetSchema(

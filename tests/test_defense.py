@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from tabrobust import defense
 from tabrobust.attacks import AttackBudget
-from tabrobust.data import Dataset, DatasetSchema, FeatureMetadata, save_dataset
+from tabrobust.data import (
+    Dataset,
+    DatasetSchema,
+    FeatureMetadata,
+    fits_schema,
+    save_dataset,
+    validate_against_schema,
+)
 from tabrobust.defense import (
     ATConfig,
     AugmentConfig,
@@ -12,9 +20,10 @@ from tabrobust.defense import (
     augment_dataset,
     cutmix_tabular,
     import_augmented_rows,
-    mix_with_mask,
 )
-from tabrobust.engine import PenaltyConfig, check
+from tabrobust.engine import PenaltyConfig, assignment_fix_rules, check, fix
+from tabrobust.expressions import ConstraintSet
+from tabrobust.parser import parse_constraint
 from tabrobust.mlp import ReferenceModel, TrainConfig, train
 from tabrobust.synth import SyntheticSpec, generate_synthetic
 
@@ -25,44 +34,88 @@ def bench():
     return dataset, schema, cs
 
 
+def replay_cutmix(X, y, count, rng, schema, cs, cfg):
+    """The same draws as `cutmix_tabular`, mixed and repaired one row at
+    a time the way the per-pair loop did: `np.where` over the slot mask,
+    then `check`, `fix` and `check` again on the single row."""
+    pairs = rng.integers(0, len(X), (count, 2))
+    p = rng.uniform(0.0, 1.0, count)
+    draws = rng.random((count, len(schema.slot_sizes)))
+    rules = assignment_fix_rules(cs, schema.mutable)
+    rows, labels = [], []
+    for (i, j), p_k, draw in zip(pairs, p, draws):
+        mask = (draw < p_k)[schema.slot_of]
+        x = np.where(mask, X[i], X[j])
+        label = y[i] if mask.mean() >= 0.5 else y[j]
+        if not check(cs, x, cfg):
+            if rules:
+                x = fix(rules, x, cfg)
+            if not check(cs, x, cfg):
+                continue
+        if fits_schema(x[None], schema)[0]:
+            rows.append(x)
+            labels.append(label)
+    return np.array(rows).reshape(-1, X.shape[1]), np.array(labels, dtype=int)
+
+
+def sum_schema():
+    """F0, F1, F2 in [0, 1] under F0 == F1 + F2, with 200 valid rows:
+    repairing a mixture can set F0 above 1."""
+    schema = DatasetSchema([FeatureMetadata(f"F{i}", "continuous", 0, 1) for i in range(3)])
+    cs = ConstraintSet([parse_constraint("F0 == F1 + F2", schema)])
+    rng = np.random.default_rng(0)
+    F1 = rng.uniform(0, 1, 200)
+    F2 = rng.uniform(0, 1, 200) * (1 - F1)
+    X = np.column_stack([F1 + F2, F1, F2])
+    return Dataset(X, (F1 > F2).astype(int)), schema, cs
+
+
 class TestMixWithMask:
+    """The per-slot mask mixing inside the block `cutmix_tabular`."""
+
+    @staticmethod
+    def zeros_and_ones():
+        # Two parents over five one-column slots, 0s labelled 1 and 1s
+        # labelled 0: with an odd width the label is the majority value.
+        schema = DatasetSchema([FeatureMetadata(f"F{i}") for i in range(5)])
+        X = np.array([np.zeros(5), np.ones(5)])
+        return cutmix_tabular(
+            X, np.array([1, 0]), 500, np.random.default_rng(2), schema, ConstraintSet()
+        )
+
     def test_all_from_first_parent(self):
-        xa, xb = np.array([1.0, 2.0, 3.0]), np.array([9.0, 9.0, 9.0])
-        x, y = mix_with_mask(xa, 1, xb, 0, np.ones(3, dtype=bool))
-        assert np.array_equal(x, xa) and y == 1
+        out, y = self.zeros_and_ones()
+        copies = (out == 0).all(axis=1) | (out == 1).all(axis=1)
+        assert {0.0, 5.0} <= set(out[copies].sum(axis=1).tolist())
+        assert np.array_equal(y[copies], (out[copies, 0] == 0).astype(int))
 
     def test_identical_parents(self):
+        schema = DatasetSchema([FeatureMetadata(f"F{i}", "continuous", 0, 5) for i in range(3)])
         xa = np.array([1.0, 2.0, 3.0])
-        for mask in (np.array([True, False, True]), np.zeros(3, dtype=bool)):
-            x, _ = mix_with_mask(xa, 0, xa.copy(), 1, mask)
-            assert np.array_equal(x, xa)
+        out, _ = cutmix_tabular(
+            np.tile(xa, (4, 1)), np.array([0, 1, 0, 1]), 50, np.random.default_rng(3),
+            schema, ConstraintSet(),
+        )
+        assert len(out) == 50
+        assert (out == xa).all()
 
     def test_label_follows_majority(self):
-        xa, xb = np.zeros(4), np.ones(4)
-        _, y = mix_with_mask(xa, 1, xb, 0, np.array([True, True, True, False]))
-        assert y == 1
-        _, y = mix_with_mask(xa, 1, xb, 0, np.array([True, False, False, False]))
-        assert y == 0
+        out, y = self.zeros_and_ones()
+        assert len(out) == 500
+        assert np.array_equal(y, (out.sum(axis=1) < 2.5).astype(int))
 
 
 class TestCutmix:
     def test_mixtures_pass_checker(self, bench):
         dataset, schema, cs = bench
         cfg = PenaltyConfig()
-        rng = np.random.default_rng(0)
-        produced = 0
-        for _ in range(1000):
-            i, j = rng.integers(0, dataset.n_rows, 2)
-            out = cutmix_tabular(
-                dataset.X[i], int(dataset.y[i]), dataset.X[j], int(dataset.y[j]),
-                rng, schema, cs, cfg,
-            )
-            if out is None:
-                continue
-            produced += 1
-            assert check(cs, out[0], cfg)
-            assert out[1] in (0, 1)
-        assert produced >= 900
+        X, y = cutmix_tabular(
+            dataset.X, dataset.y, 1000, np.random.default_rng(0), schema, cs, cfg
+        )
+        assert len(X) >= 900
+        assert check(cs, X, cfg).all()
+        validate_against_schema(X, schema)
+        assert set(y.tolist()) <= {0, 1}
 
     def test_onehot_groups_move_whole(self):
         schema = DatasetSchema(
@@ -72,14 +125,48 @@ class TestCutmix:
                 FeatureMetadata("g_b", "categorical", 0, 1, onehot_group="g"),
             ]
         )
-        xa = np.array([0.2, 1.0, 0.0])
-        xb = np.array([0.8, 0.0, 1.0])
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            out = cutmix_tabular(xa, 0, xb, 1, rng, schema)
-            assert out is not None
-            group = out[0][1:]
-            assert group.tolist() in ([1.0, 0.0], [0.0, 1.0])
+        X = np.array([[0.2, 1.0, 0.0], [0.8, 0.0, 1.0]])
+        out, _ = cutmix_tabular(
+            X, np.array([0, 1]), 50, np.random.default_rng(1), schema, ConstraintSet()
+        )
+        assert len(out) == 50
+        assert {tuple(r) for r in out[:, 1:].tolist()} == {(1.0, 0.0), (0.0, 1.0)}
+        assert set(out[:, 0].tolist()) == {0.2, 0.8}
+
+    @pytest.mark.parametrize("make", ["bench", "sum"])
+    def test_block_matches_per_row_replay(self, bench, make):
+        dataset, schema, cs = bench if make == "bench" else sum_schema()
+        cfg = PenaltyConfig()
+        for seed in range(3):
+            got = cutmix_tabular(
+                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs, cfg
+            )
+            want = replay_cutmix(
+                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs, cfg
+            )
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert 0 < len(got[0]) < 300  # both outcomes occur
+
+    def test_block_makes_two_checks_and_one_fix(self, bench, monkeypatch):
+        dataset, schema, cs = bench
+        calls = {"check": 0, "fix": 0, "cutmix_tabular": 0}
+
+        def counting(name):
+            inner = getattr(defense, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(defense, name, wrapper)
+
+        for name in calls:
+            counting(name)
+        augment_dataset(dataset, schema, cs, AugmentConfig(ratio=0.25, seed=3))
+        blocks = calls["cutmix_tabular"]
+        assert blocks >= 1
+        assert calls["check"] <= 2 * blocks and calls["fix"] <= blocks
+        assert calls["fix"] >= 1  # the bench set needs repairs
 
     def test_augment_dataset_appends_valid_rows(self, bench):
         dataset, schema, cs = bench
@@ -88,12 +175,39 @@ class TestCutmix:
         added = augmented.n_rows - dataset.n_rows
         assert added == int(round(0.25 * dataset.n_rows))
         assert check(cs, augmented.X[dataset.n_rows :], PenaltyConfig()).all()
+        validate_against_schema(augmented.X[dataset.n_rows :], schema)
         assert np.array_equal(augmented.X[: dataset.n_rows], dataset.X)
+        again = augment_dataset(dataset, schema, cs, config)
+        assert np.array_equal(again.X, augmented.X) and np.array_equal(again.y, augmented.y)
+
+    def test_repaired_rows_stay_in_bounds(self):
+        # Repair sets F0 = F1 + F2, which can exceed F0's upper bound of 1.
+        dataset, schema, cs = sum_schema()
+        augmented = augment_dataset(dataset, schema, cs, AugmentConfig(ratio=0.5, seed=1))
+        new = augmented.X[dataset.n_rows :]
+        assert len(new) == 100
+        validate_against_schema(new, schema)
+        assert check(cs, new, PenaltyConfig()).all()
+
+    def test_short_of_target_warns(self, caplog):
+        # No row in [0, 1]^2 satisfies F0 <= F1 - 2, and no rule repairs it.
+        schema = DatasetSchema([FeatureMetadata(f"F{i}", "continuous", 0, 1) for i in range(2)])
+        cs = ConstraintSet([parse_constraint("F0 <= F1 - 2", schema)])
+        dataset = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+        with caplog.at_level("WARNING"):
+            out = augment_dataset(dataset, schema, cs, AugmentConfig(ratio=1.0, seed=0))
+        assert out is dataset
+        assert any("produced 0/2 rows" in m for m in caplog.messages)
 
     def test_none_method_is_identity(self, bench):
         dataset, schema, cs = bench
         out = augment_dataset(dataset, schema, cs, AugmentConfig(method="none"))
         assert out is dataset
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -0.5])
+    def test_ratio_must_be_finite_and_nonnegative(self, ratio):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AugmentConfig(ratio=ratio)
 
 
 class TestImportAugmented:

@@ -101,6 +101,13 @@ class TestCheck:
     def test_empty_set_accepts_everything(self):
         assert check(ConstraintSet(), np.zeros((4, 5))).all()
 
+    @pytest.mark.parametrize("field", ["tolerance", "strict_margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        # A NaN tolerance would make `check` reject every row.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PenaltyConfig(**{field: value})
+
 
 class TestFix:
     def test_reference_rows(self):

@@ -9,7 +9,7 @@ import pytest
 from tabrobust import harness
 from tabrobust.attacks import AttackBudget, validity_mask
 from tabrobust.cli import main as cli_main
-from tabrobust.data import Dataset
+from tabrobust.data import DataError, Dataset
 from tabrobust.engine import PenaltyConfig
 from tabrobust.harness import (
     EmptyAttackSet,
@@ -207,6 +207,14 @@ class TestReports:
         loaded = load_report(path)
         assert loaded.comparable_dict() == report.comparable_dict()
 
+    def test_missing_field_is_named(self):
+        d = self.make_report().to_dict()
+        del d["budgets"][0]["n_success_constrained"]
+        with pytest.raises(DataError, match="report missing field 'n_success_constrained'"):
+            EvaluationReport.from_dict(d)
+        with pytest.raises(DataError, match="report missing field 'budgets'"):
+            EvaluationReport.from_dict({"model": "x"})
+
     def test_csv_has_fixed_header(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "r.csv"
@@ -296,6 +304,47 @@ class TestCli:
             capsys.readouterr()
             assert cli_main(argv + common) == 1
             assert "finite" in capsys.readouterr().err
+
+    def test_nan_tolerance_exits_one(self, cli_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert cli_main(
+            ["train", "--data", str(cli_dataset), "--epochs", "1",
+             "--seed", "1", "--out", str(model_path)]
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text('{"tolerance": NaN, "n_gen": 5}')
+        capsys.readouterr()
+        assert cli_main(
+            ["attack", "--model", str(model_path), "--data", str(cli_dataset),
+             "--config", str(config), "--cap", "5", "--out", str(tmp_path / "r.json")]
+        ) == 1
+        assert "tolerance must be finite" in capsys.readouterr().err
+
+    def test_non_finite_training_options_exit_one(self, cli_dataset, tmp_path, capsys):
+        common = ["--data", str(cli_dataset), "--epochs", "1", "--inner-iters", "1",
+                  "--out", str(tmp_path / "m.json")]
+        for extra, message in (
+            (["--augment", "cutmix", "--augment-ratio", "nan"], "ratio must be finite"),
+            (["--augment", "cutmix", "--augment-ratio", "inf"], "ratio must be finite"),
+            (["--lr", "nan"], "learning rate must be finite"),
+        ):
+            capsys.readouterr()
+            assert cli_main(["advtrain", *common, *extra]) == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_malformed_report_and_model_exit_one(self, cli_dataset, tmp_path, capsys):
+        bad_report = tmp_path / "bad.json"
+        bad_report.write_text('{"model": "x"}')
+        capsys.readouterr()
+        assert cli_main(["report", "--inputs", str(bad_report),
+                         "--out", str(tmp_path / "lb.csv")]) == 1
+        assert "report missing field 'budgets'" in capsys.readouterr().err
+        bad_model = tmp_path / "model.json"
+        bad_model.write_text('{"version": 1}')
+        assert cli_main(["attack", "--model", str(bad_model), "--data", str(cli_dataset),
+                         "--out", str(tmp_path / "r.json")]) == 1
+        assert "model missing field 'n_features'" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gradients_close
-from tabrobust.data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler
+from tabrobust.data import DataError, Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler
 from tabrobust.mlp import (
     ReferenceModel,
     TrainConfig,
@@ -194,6 +194,13 @@ class TestTrain:
         assert np.sum(y[val_idx] == 1) == 5
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            TrainConfig(learning_rate=lr)
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         schema = toy_schema()
@@ -206,6 +213,12 @@ class TestCheckpoint:
             model.predict_proba_scaled(Z), loaded.predict_proba_scaled(Z)
         )
         assert np.array_equal(loaded.scaler.min_, model.scaler.min_)
+
+    def test_missing_field_is_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"version": 1}')
+        with pytest.raises(DataError, match="model missing field 'n_features'"):
+            ReferenceModel.load(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
