@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,14 +33,19 @@ class AttackBudget:
     def __post_init__(self):
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError("eps must be finite and nonnegative")
+        for name in ("eps", "lam"):
+            value = getattr(self, name)
+            if not (_number(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        for name in ("n_iter_gradient", "n_gen", "n_off", "n_pop", "seed"):
+            value = getattr(self, name)
+            if not _number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy's too, for JSON
         if self.n_iter_gradient < 1 or self.n_off < 1 or self.n_pop < 1:
             raise ValueError("iteration and population counts must be positive")
-        if self.n_gen < 0:
-            raise ValueError("n_gen must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if self.n_gen < 0 or self.seed < 0:
+            raise ValueError("n_gen and seed must be nonnegative")
 
     def with_(self, **kwargs) -> "AttackBudget":
         return replace(self, **kwargs)
@@ -58,23 +64,18 @@ class AttackBudget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackBudget":
-        known = {
-            "norm",
-            "eps",
-            "n_iter_gradient",
-            "n_gen",
-            "n_off",
-            "n_pop",
-            "seed",
-            "lambda",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - set(cls().to_dict())
         if unknown:
             raise ValueError(f"unknown attack config keys: {sorted(unknown)}")
         kwargs = {k: v for k, v in d.items() if k != "lambda"}
         if "lambda" in d:
             kwargs["lam"] = d["lambda"]
         return cls(**kwargs)
+
+
+def _number(value, kind) -> bool:
+    """`value` is a `kind` number (numpy's included), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def checkpoint_schedule(n_iter: int) -> list[int]:

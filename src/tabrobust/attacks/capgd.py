@@ -86,8 +86,9 @@ def capgd(
     """Attack a batch of scaled rows; returns per-sample best candidates.
 
     Candidates are ranked by (misclassified, lower penalty, smaller
-    distance); with eps == 0 or an all-flat model the originals come
-    back unchanged.
+    distance); the first is the start point, scored by the objective
+    call that also seeds the ascent. With eps == 0 or an all-flat model
+    the originals come back unchanged.
     """
     Z0 = np.atleast_2d(np.asarray(Z, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=int))
@@ -98,22 +99,15 @@ def capgd(
     def candidate_key(mis, pen, dist):
         return np.stack([(~mis).astype(float), pen, dist], axis=1)
 
-    pen0 = total_penalty(cs, scaler.inverse_transform(Z0), cfg)
-    pen0 = np.atleast_1d(pen0)
-    probs0 = model.predict_proba_scaled(Z0)
-    mis0 = probs0.argmax(axis=1) != y
+    lam = np.full(n, budget.lam)
+    obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
     best_cand = Z0.copy()
     best_key = candidate_key(mis0, pen0, np.zeros(n))
     trace: list[np.ndarray] = []
 
     if budget.eps == 0:
-        return GradientAttackOutput(
-            candidates=best_cand,
-            misclassified=mis0,
-            loss_trace=trace,
-        )
+        return GradientAttackOutput(candidates=best_cand, misclassified=mis0, loss_trace=trace)
 
-    lam = np.full(n, budget.lam)
     eta = np.full(n, 2.0 * budget.eps / budget.n_iter_gradient)
     checkpoints = checkpoint_schedule(budget.n_iter_gradient)
     rules = assignment_fix_rules(cs, schema.mutable)
@@ -144,7 +138,6 @@ def capgd(
         best_cand[better] = z_fixed[better]
         best_key[better] = key_f[better]
 
-    obj, grad, _, _ = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
     z_cur = Z0.copy()
     z_prev = Z0.copy()
     obj_cur = obj

@@ -27,6 +27,27 @@ class DataError(ValueError):
     """Raised for schema violations and malformed dataset files."""
 
 
+_REQUIRED = object()
+
+
+def json_field(d, key: str, types, what: str, default=_REQUIRED):
+    """d[key] of the JSON object `d` (a `what`), of one of `types` (bool
+    only if named), or `default` if given and the key is absent; else a
+    DataError naming the field."""
+    if not isinstance(d, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        if default is _REQUIRED:
+            raise DataError(f"{what} missing field {key!r}")
+        return default
+    value = d[key]
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise DataError(f"{what} field {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class FeatureMetadata:
     name: str
@@ -131,15 +152,6 @@ class DatasetSchema:
             if 0 <= idx < self.n_features:
                 return idx
         raise KeyError(name)
-
-    def mutable_mask(self) -> np.ndarray:
-        return self.mutable
-
-    def integer_mask(self) -> np.ndarray:
-        return self.integer
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lo, self.hi
 
     def onehot_groups(self) -> dict[Union[int, str], list[int]]:
         cols = np.split(self.group_cols, np.cumsum(self.group_sizes))
@@ -359,6 +371,6 @@ class MinMaxScaler:
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
         s = cls()
-        s.min_ = np.array(d["min"], dtype=float)
-        s.width_ = np.array(d["width"], dtype=float)
+        s.min_ = np.array(json_field(d, "min", list, "scaler"), dtype=float)
+        s.width_ = np.array(json_field(d, "width", list, "scaler"), dtype=float)
         return s

@@ -17,17 +17,15 @@ equal `shape_key`s and compiles each group once over (rows, G) column
 blocks, so G constraints cost one closure call. Results are bit-
 identical to running the constraints one by one:
 
-- `penalty_matrix` writes each group's columns back in constraint
-  order, so `check`'s max and `total_penalty`'s pairwise sum see the
-  matrix they always saw.
-- `total_penalty_with_gradient` adds the penalties in constraint order
-  (an accumulation over a (K + 1, n) buffer), and every feature
-  receives its gradient terms in the order of the one-by-one loop: the
-  plan admits a constraint to a group only if that holds, and leaves
-  it a singleton otherwise.
-- `total_penalty` (pairwise sum) and `total_penalty_with_gradient`
-  (sequential sum) add in different orders and can differ in the last
-  bits. MOEVA and CAPGD read each of them, so both orders stay.
+- One walk over the plan's groups writes each group's columns of the
+  (rows, constraints) penalty matrix back in constraint order, so
+  `check`'s max sees the matrix it always saw. Every total is that
+  matrix's pairwise row sum, so `total_penalty` and
+  `total_penalty_with_gradient` agree bit for bit.
+- Asked for a gradient, the walk runs each group's backward step as
+  it goes, and every feature receives its gradient terms in the order
+  of the one-by-one loop: the plan admits a constraint to a group only
+  if that holds, and leaves it a singleton otherwise.
 - `fix` applies its rules in dependency levels: a rule goes one level
   above the last earlier rule that writes a feature it reads or
   writes, or reads its target. Rules of one level commute, so each
@@ -167,17 +165,24 @@ def _plan(cs: ConstraintSet) -> _Plan:
     return cs.plan
 
 
+def _walk(cs: ConstraintSet, X: np.ndarray, cfg: PenaltyConfig, grad=None) -> np.ndarray:
+    """The (n_rows, n_constraints) penalty matrix of the set on the
+    matrix X; with `grad`, each group's penalty gradient is added into it."""
+    P = np.empty((X.shape[0], len(cs)))
+    for run, positions, tail in _plan(cs).calls:
+        P[:, positions], backward = run(X, cfg.strict_margin)
+        if grad is not None:
+            backward(np.ones((X.shape[0], *tail)), grad)
+    return P
+
+
 def penalty_matrix(
     cs: ConstraintSet,
     X: np.ndarray,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> np.ndarray:
     """Per-row, per-constraint penalties, shape (n_rows, n_constraints)."""
-    X, _ = _as_matrix(X)
-    P = np.empty((X.shape[0], len(cs)))
-    for run, positions, _ in _plan(cs).calls:
-        P[:, positions] = run(X, cfg.strict_margin)[0]
-    return P
+    return _walk(cs, _as_matrix(X)[0], cfg)
 
 
 def check(
@@ -187,10 +192,7 @@ def check(
 ) -> np.ndarray:
     """Row-wise satisfaction: worst per-constraint penalty <= tolerance."""
     Xm, single = _as_matrix(X)
-    pen = penalty_matrix(cs, Xm, cfg)
-    ok = np.ones(Xm.shape[0], dtype=bool) if pen.shape[1] == 0 else (
-        pen.max(axis=1) <= cfg.tolerance
-    )
+    ok = _walk(cs, Xm, cfg).max(axis=1, initial=0.0) <= cfg.tolerance  # no constraints: ok
     return bool(ok[0]) if single else ok
 
 
@@ -199,9 +201,10 @@ def total_penalty(
     x: np.ndarray,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> Union[float, np.ndarray]:
-    """Sum of per-constraint penalties (the attacks' aggregate loss)."""
+    """Sum of per-constraint penalties (the attacks' aggregate loss), the
+    same bits as `total_penalty_with_gradient`'s."""
     X, single = _as_matrix(x)
-    total = penalty_matrix(cs, X, cfg).sum(axis=1)
+    total = _walk(cs, X, cfg).sum(axis=1)
     return float(total[0]) if single else total
 
 
@@ -210,21 +213,12 @@ def total_penalty_with_gradient(
     x: np.ndarray,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> tuple[Union[float, np.ndarray], np.ndarray]:
-    """(sum of penalties, sum of penalty gradients) over the set."""
+    """(sum of penalties, sum of penalty gradients) over the set; the sum
+    is `total_penalty`'s, bit for bit."""
     X, single = _as_matrix(x)
-    n = X.shape[0]
-    terms = np.zeros((len(cs) + 1, n))  # a zero row, then one per constraint
     grad = np.zeros_like(X)
-    for run, positions, tail in _plan(cs).calls:
-        value, backward = run(X, cfg.strict_margin)
-        terms[1:][positions] = value.T
-        backward(np.ones((n, *tail)), grad)
-    # Accumulating adds row after row: the order of `total += value` per
-    # constraint. (`np.add.reduce` would sum a one-row batch pairwise.)
-    total = np.add.accumulate(terms, axis=0)[-1]
-    if single:
-        return float(total[0]), grad[0]
-    return total, grad
+    total = _walk(cs, X, cfg, grad).sum(axis=1)
+    return (float(total[0]), grad[0]) if single else (total, grad)
 
 
 class FixRuleError(ValueError):

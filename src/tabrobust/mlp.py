@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import DataError, Dataset, DatasetSchema, MinMaxScaler
+from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, json_field
 from .metrics import auc_score
 
 CHECKPOINT_VERSION = 1
@@ -163,15 +163,18 @@ class ReferenceModel:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ReferenceModel":
         d = json.loads(Path(path).read_text())
-        if d.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {d.get('version')!r}")
-        try:
-            model = cls(d["n_features"], hidden=tuple(d["hidden"]))
-            model.weights = [np.array(w, dtype=float) for w in d["weights"]]
-            model.biases = [np.array(b, dtype=float) for b in d["biases"]]
-            model.scaler = MinMaxScaler.from_dict(d["scaler"]) if d["scaler"] else None
-        except KeyError as e:
-            raise DataError(f"model missing field {e}") from e
+        version = json_field(d, "version", int, "model", default=None)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        n_features = json_field(d, "n_features", int, "model")
+        hidden = json_field(d, "hidden", list, "model")
+        if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
+            raise DataError(f"model field 'hidden' must be a list of integers, got {hidden!r}")
+        model = cls(n_features, hidden=tuple(hidden))
+        model.weights = [np.array(w, dtype=float) for w in json_field(d, "weights", list, "model")]
+        model.biases = [np.array(b, dtype=float) for b in json_field(d, "biases", list, "model")]
+        scaler = json_field(d, "scaler", (dict, type(None)), "model")
+        model.scaler = MinMaxScaler.from_dict(scaler) if scaler else None
         return model
 
 

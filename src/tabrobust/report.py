@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-from .data import DataError
+from .data import DataError, json_field
 
 CSV_HEADER = [
     "model",
@@ -34,6 +34,17 @@ CSV_HEADER = [
     "robust_accuracy_constrained",
     "robust_accuracy_unconstrained",
 ]
+
+# JSON types of the field annotations read by `from_dict`.
+JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "dict[str, float]": dict}
+
+
+def _read_fields(cls, d, what: str, skip=()) -> dict:
+    """`cls`'s fields (but `skip`) from the JSON object `d`, type-checked."""
+    return {
+        f.name: json_field(d, f.name, JSON_TYPES[f.type], what)
+        for f in fields(cls) if f.name not in skip
+    }
 
 
 @dataclass
@@ -62,8 +73,9 @@ class BudgetEntry:
 
     @classmethod
     def from_dict(cls, d: dict, wall_time: float = 0.0) -> "BudgetEntry":
-        names = [f.name for f in fields(cls) if f.name != "wall_time"]
-        return cls(wall_time=wall_time, **{name: d[name] for name in names})
+        if not isinstance(d, dict):
+            raise DataError(f"report budget entry must be a JSON object, got {type(d).__name__}")
+        return cls(wall_time=wall_time, **_read_fields(cls, d, "report", ("wall_time",)))
 
 
 @dataclass
@@ -107,23 +119,17 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
-        times = d.get("timing", {}).get("attack_seconds", [])
-        try:
-            budgets = [
-                BudgetEntry.from_dict(b, wall_time=times[i] if i < len(times) else 0.0)
-                for i, b in enumerate(d["budgets"])
-            ]
-            return cls(
-                model=d["model"],
-                defense=d["defense"],
-                seed=d["seed"],
-                clean=d["clean"],
-                attack_set_size=d["attack_set_size"],
-                budgets=budgets,
-                config=d.get("config", {}),
-            )
-        except KeyError as e:
-            raise DataError(f"report missing field {e}") from e
+        timing = json_field(d, "timing", dict, "report", default={})
+        times = json_field(timing, "attack_seconds", list, "report timing", default=[])
+        budgets = [
+            BudgetEntry.from_dict(b, wall_time=times[i] if i < len(times) else 0.0)
+            for i, b in enumerate(json_field(d, "budgets", list, "report"))
+        ]
+        return cls(
+            **_read_fields(cls, d, "report", ("budgets", "config")),
+            budgets=budgets,
+            config=json_field(d, "config", dict, "report", default={}),
+        )
 
     def comparable_dict(self) -> dict:
         """Everything except wall-clock timing (for determinism checks)."""

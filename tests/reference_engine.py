@@ -275,13 +275,14 @@ def total_penalty_with_gradient(
     x: np.ndarray,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ):
-    """(sum of penalties, sum of penalty gradients) over the set."""
+    """(sum of penalties, sum of penalty gradients) over the set; the sum
+    is `total_penalty`'s."""
     X, single = _as_matrix(x)
-    total = np.zeros(X.shape[0])
+    total = penalty_matrix(cs, X, cfg).sum(axis=1)
     grad = np.zeros_like(X)
     for c in cs:
         memo: dict = {}
-        total += _penalty_forward(c, X, memo, cfg)
+        _penalty_forward(c, X, memo, cfg)
         _penalty_backward(c, X, memo, np.ones(X.shape[0]), grad, cfg)
     if single:
         return float(total[0]), grad[0]

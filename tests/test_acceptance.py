@@ -216,9 +216,9 @@ def test_criterion_5_validity_guarantee():
             b["schema"], b["cs"], b["model"], b["budget"], b["cfg"],
         )
         scaler = model.scaler
-        lo, hi = schema.bounds()
-        immutable = ~schema.mutable_mask()
-        int_cols = schema.integer_mask()
+        lo, hi = schema.lo, schema.hi
+        immutable = ~schema.mutable
+        int_cols = schema.integer
         y = b["dataset"].y[b["indices"]]
 
         n_success = 0

@@ -110,6 +110,27 @@ class TestAttackBudget:
         with pytest.raises(ValueError):
             AttackBudget(norm="L1")
 
+    @pytest.mark.parametrize("kwargs,message", [
+        # A NaN weight made CAPGD's objective NaN: no step, no success.
+        ({"lam": float("nan")}, "lam must be finite"),
+        ({"lam": float("inf")}, "lam must be finite"),
+        ({"eps": "0.5"}, "eps must be finite"),
+        ({"n_gen": 2.5}, "n_gen must be an integer"),
+        ({"n_off": 3.0}, "n_off must be an integer"),
+        ({"n_pop": True}, "n_pop must be an integer"),
+        ({"n_iter_gradient": "10"}, "n_iter_gradient must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ])
+    def test_rejects_values_that_break_a_stage(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            AttackBudget(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        b = AttackBudget(n_gen=np.int64(3), seed=np.uint32(7), eps=np.float64(0.25))
+        assert (b.n_gen, b.seed, b.eps) == (3, 7, 0.25)
+        assert type(b.n_gen) is int and type(b.seed) is int
+
 
 def continuous_schema(n, immutable=()):
     feats = [
@@ -303,6 +324,36 @@ class TestCapgd:
         assert len(per_call) > budget.n_iter_gradient
         assert per_call == [2] * len(per_call)
 
+    def test_start_point_scored_once(self, monkeypatch):
+        # Without fix rules, every penalty and forward pass is made by
+        # `_objective_pieces`, the start point's included.
+        capgd_module = importlib.import_module("tabrobust.attacks.capgd")
+        schema = continuous_schema(2)
+        cs = ConstraintSet([parse_constraint("F0 + 0.5 <= F1", schema)])
+        model = linear_model([2.0, -1.5], 0.2, identity_scaler(2))
+        z = np.array([[0.3, 0.7], [0.6, 0.2]])
+        counts = {"total_penalty": 0, "forward": 0, "pieces": 0}
+        forward = ReferenceModel._forward
+        pieces = capgd_module._objective_pieces
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(capgd_module, "total_penalty",
+                            counting("total_penalty", capgd_module.total_penalty))
+        monkeypatch.setattr(ReferenceModel, "_forward", counting("forward", forward))
+        monkeypatch.setattr(capgd_module, "_objective_pieces", counting("pieces", pieces))
+        for eps, start_only in ((0.0, True), (0.3, False)):
+            counts.update(dict.fromkeys(counts, 0))
+            capgd(model, cs, z, np.array([0, 0]), AttackBudget(eps=eps), schema)
+            assert counts["total_penalty"] == 0
+            assert counts["forward"] == 2 * counts["pieces"]
+            assert (counts["pieces"] == 1) == start_only
+
 
 class TestNondominatedSort:
     def test_simple_fronts(self):
@@ -368,7 +419,7 @@ class TestCrossover:
             FeatureMetadata("x3", mutable=False),
             FeatureMetadata("x4", "integer", 0, 9),
         ])
-        mutable = schema.mutable_mask()
+        mutable = schema.mutable
         slots = [c for c in schema.column_slots() if mutable[c].all()]
         assert len(slots) == 5
         # The gene slots of the schema, of it with only the first slot
@@ -414,7 +465,7 @@ class TestMutation:
     seeds = range(4)
 
     def layout(self):
-        mutable = self.schema.mutable_mask()
+        mutable = self.schema.mutable
         slots = [c for c in self.schema.column_slots() if mutable[c].all()]
         return slots, slot_layout(self.schema)
 
@@ -434,7 +485,7 @@ class TestMutation:
         the per-slot reference."""
         slots, layout = self.layout()
         scaler = MinMaxScaler.from_schema(self.schema)
-        lo, hi = self.schema.bounds()
+        lo, hi = self.schema.lo, self.schema.hi
         for seed in self.seeds:
             X = self.marked(seed)
             rng = np.random.default_rng(seed)
@@ -443,7 +494,7 @@ class TestMutation:
             else:
                 out = reference_mutate._mutate(
                     rng, X.copy(), None, slots, self.budget, scaler, lo, hi,
-                    self.schema.integer_mask(),
+                    self.schema.integer,
                 )
             yield seed, X, out
 
@@ -769,7 +820,7 @@ class TestCaa:
                     s.candidate[None]
                 ).argmax() != dataset.y[idx[i]]
                 assert ok and mis
-                immutable = ~schema.mutable_mask()
+                immutable = ~schema.mutable
                 assert np.array_equal(s.candidate[immutable], Z[i][immutable])
             else:
                 assert np.array_equal(s.candidate, Z[i])

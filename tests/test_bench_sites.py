@@ -29,9 +29,8 @@ def test_every_traced_call_site_resolves(tracing):
         assert callable(found), f"{site.module}.{site.attr} does not exist"
 
 
-def test_search_span_fires_once_per_searched_row(tracing, small_bench):
-    # The bench times MOEVA per attacked row through the name `moeva` in
-    # caa's module; a search that bypassed it would drop out of the trace.
+def traced_caa(tracing, small_bench):
+    """(tracer, result) of one `caa` run under the bench's wrappers."""
     model, dataset, schema, cs = small_bench
     budget = AttackBudget(eps=0.5, n_gen=4, n_pop=20, n_off=12, seed=3)
     idx = select_attack_set(model, dataset, schema, cap=12, seed=3)
@@ -42,6 +41,25 @@ def test_search_span_fires_once_per_searched_row(tracing, small_bench):
         result = caa(model, cs, Z, dataset.y[idx], budget, schema, row_indices=idx)
     finally:
         tracer.uninstall()
+    return tracer, result
+
+
+def test_search_span_fires_once_per_searched_row(tracing, small_bench):
+    # The bench times MOEVA per attacked row through the name `moeva` in
+    # caa's module; a search that bypassed it would drop out of the trace.
+    tracer, result = traced_caa(tracing, small_bench)
     searched = sum("search" in s.attempts for s in result.samples)
     assert searched >= 1
     assert tracer.stats["attacks.moeva.moeva"].calls == searched
+
+
+def test_every_attack_site_fires(tracing, small_bench):
+    # The traced bench run reports a heavy site that never fired; this
+    # catches it for the attack stages without a traced run.
+    tracer, _ = traced_caa(tracing, small_bench)
+    attack_sites = [i for i, s in enumerate(tracing.SITES)
+                    if s.module.startswith("tabrobust.attacks")]
+    assert len(attack_sites) >= 12
+    silent = [f"{tracing.SITES[i].module}.{tracing.SITES[i].attr}"
+              for i in attack_sites if i not in tracer.fired]
+    assert not silent

@@ -41,8 +41,8 @@ class TestSchema:
 
     def test_masks(self):
         schema = small_schema()
-        assert schema.mutable_mask().tolist() == [True, False, True]
-        assert schema.integer_mask().tolist() == [False, False, True]
+        assert schema.mutable.tolist() == [True, False, True]
+        assert schema.integer.tolist() == [False, False, True]
 
     def test_json_round_trip(self, tmp_path):
         schema = small_schema()
@@ -75,7 +75,7 @@ class TestSchema:
 
     def test_infinite_bounds_accepted(self):
         schema = DatasetSchema.generic(2)
-        assert schema.bounds()[0].tolist() == [-np.inf, -np.inf]
+        assert schema.lo.tolist() == [-np.inf, -np.inf]
         assert FeatureMetadata("x", min=-np.inf, max=np.inf).max == np.inf
 
     @pytest.mark.parametrize("kind", ["continuous", "integer"])

@@ -162,20 +162,29 @@ def wide():
     return dataset, schema, cs
 
 
-def test_wide_set_matches_reference(wide):
-    dataset, schema, cs = wide
+def off_bounds(wide):
+    """The `wide` rows, every odd one pushed off the bounds (negative
+    `1 + rate` bases under a non-integer `^` give NaN, zero incomes hit
+    the division clamp) and every even one scaled by U(0.9, 1.1), which
+    leaves it inside the domain but violating some constraints."""
+    dataset, schema, _ = wide
     rng = np.random.default_rng(11)
     X = dataset.X.copy()
-    # Push half the rows off the bounds: negative `1 + rate` bases under
-    # a non-integer `^` give NaN, zero incomes hit the division clamp.
-    off = X[::2]
+    off = X[1::2]
     off *= rng.uniform(-1.5, 2.5, off.shape)
     off += rng.normal(0.0, 2.0, off.shape)
     off[:5, schema.resolve("inc_0")] = 0.0
-    X[::2] = off
+    X[1::2] = off
+    X[::2] *= rng.uniform(0.9, 1.1, X[::2].shape)
+    return X
+
+
+def test_wide_set_matches_reference(wide):
+    _, schema, cs = wide
+    X = off_bounds(wide)
     with np.errstate(all="ignore"):
         assert np.isnan(ref.total_penalty(cs, X)).any()
-    for rules in (engine.assignment_fix_rules(cs, schema.mutable_mask()),
+    for rules in (engine.assignment_fix_rules(cs, schema.mutable),
                   engine.assignment_fix_rules(cs)):
         # 16 rows: as many as each group has members.
         for n in (300, 16, 2):
@@ -185,11 +194,23 @@ def test_wide_set_matches_reference(wide):
         assert_engines_agree(cs, engine.assignment_fix_rules(cs), x[None, :])
 
 
+def test_wide_totals_agree(wide):
+    # Both totals are the pairwise row sum of one penalty matrix; a sum
+    # in constraint order differs from it in the last bits.
+    _, _, cs = wide
+    X = off_bounds(wide)
+    for n in (300, 16, 2, 1):
+        with np.errstate(all="ignore"):
+            total = engine.total_penalty(cs, X[:n])
+            total_with_gradient, _ = engine.total_penalty_with_gradient(cs, X[:n])
+        assert np.array_equal(total, total_with_gradient, equal_nan=True), n
+
+
 def test_plan_structure(wide):
     _, schema, cs = wide
     assert plan_widths(cs) == [16] * 8
     # 48 fix rules, one level: one fused call per rule shape.
-    rules = engine.assignment_fix_rules(cs, schema.mutable_mask())
+    rules = engine.assignment_fix_rules(cs, schema.mutable)
     assert len(rules) == 48
     assert [int(np.size(target)) for _, _, target in rules.calls()] == [16, 16, 16]
 
@@ -208,7 +229,7 @@ def test_plan_structure(wide):
 def test_fix_rules_follow_the_set(wide):
     dataset, schema, cs = wide
     cs = ConstraintSet(list(cs.constraints))
-    mask = schema.mutable_mask()
+    mask = schema.mutable
     first = engine.assignment_fix_rules(cs, mask)
     again = engine.assignment_fix_rules(cs, mask)
     assert again == first and again is not first

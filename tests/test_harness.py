@@ -320,6 +320,30 @@ class TestCli:
         ) == 1
         assert "tolerance must be finite" in capsys.readouterr().err
 
+    def test_bad_budget_config_exits_one(self, cli_dataset, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert cli_main(
+            ["train", "--data", str(cli_dataset), "--epochs", "1",
+             "--seed", "1", "--out", str(model_path)]
+        ) == 0
+        config = tmp_path / "config.json"
+        for text, message in (
+            ('{"lambda": NaN}', "lam must be finite"),
+            ('{"n_gen": 2.5}', "n_gen must be an integer"),
+            ('{"n_off": 3.0}', "n_off must be an integer"),
+            ('{"n_pop": true}', "n_pop must be an integer"),
+            ('{"seed": 1.5}', "seed must be an integer"),
+            ('{"seed": -1}', "seed must be nonnegative"),
+        ):
+            config.write_text(text)
+            capsys.readouterr()
+            assert cli_main(
+                ["attack", "--model", str(model_path), "--data", str(cli_dataset),
+                 "--config", str(config), "--cap", "5", "--out", str(tmp_path / "r.json")]
+            ) == 1, text
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_finite_training_options_exit_one(self, cli_dataset, tmp_path, capsys):
         common = ["--data", str(cli_dataset), "--epochs", "1", "--inner-iters", "1",
                   "--out", str(tmp_path / "m.json")]
@@ -334,17 +358,46 @@ class TestCli:
         assert not (tmp_path / "m.json").exists()
 
     def test_malformed_report_and_model_exit_one(self, cli_dataset, tmp_path, capsys):
+        entry = {"axis": "eps", "value": 0.5, "budget": {},
+                 "robust_accuracy_constrained": 1.0, "robust_accuracy_unconstrained": 1.0,
+                 "n_success_constrained": 0, "n_success_unconstrained": 0}
+        report = {"model": "m", "defense": "none", "seed": 0, "clean": {},
+                  "attack_set_size": 1, "budgets": [entry]}
         bad_report = tmp_path / "bad.json"
-        bad_report.write_text('{"model": "x"}')
-        capsys.readouterr()
+        for payload, message in (
+            ({"model": "x"}, "report missing field 'budgets'"),
+            ([], "report must be a JSON object, got list"),
+            ({**report, "budgets": 5}, "report field 'budgets' must be list, got int"),
+            ({**report, "seed": "0"}, "report field 'seed' must be int, got str"),
+            ({**report, "budgets": [[]]}, "report budget entry must be a JSON object, got list"),
+            ({**report, "budgets": [{**entry, "n_success_constrained": True}]},
+             "report field 'n_success_constrained' must be int, got bool"),
+            ({**report, "timing": []}, "report field 'timing' must be dict, got list"),
+        ):
+            bad_report.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert cli_main(["report", "--inputs", str(bad_report),
+                             "--out", str(tmp_path / "lb.csv")]) == 1, payload
+            assert message in capsys.readouterr().err
+        bad_report.write_text(json.dumps(report))
         assert cli_main(["report", "--inputs", str(bad_report),
-                         "--out", str(tmp_path / "lb.csv")]) == 1
-        assert "report missing field 'budgets'" in capsys.readouterr().err
+                         "--out", str(tmp_path / "lb.csv")]) == 0
         bad_model = tmp_path / "model.json"
-        bad_model.write_text('{"version": 1}')
-        assert cli_main(["attack", "--model", str(bad_model), "--data", str(cli_dataset),
-                         "--out", str(tmp_path / "r.json")]) == 1
-        assert "model missing field 'n_features'" in capsys.readouterr().err
+        for payload, message in (
+            ({"version": 1}, "model missing field 'n_features'"),
+            ([], "model must be a JSON object, got list"),
+            ({"version": 1, "n_features": 3, "hidden": 5},
+             "model field 'hidden' must be list, got int"),
+            ({"version": 1, "n_features": 3, "hidden": [2.5]},
+             "model field 'hidden' must be a list of integers"),
+            ({"version": 1, "n_features": 3, "hidden": [], "weights": [], "biases": [],
+              "scaler": {"min": [0.0]}}, "scaler missing field 'width'"),
+        ):
+            bad_model.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert cli_main(["attack", "--model", str(bad_model), "--data", str(cli_dataset),
+                             "--out", str(tmp_path / "r.json")]) == 1, payload
+            assert message in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

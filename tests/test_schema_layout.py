@@ -82,7 +82,7 @@ def perturb(schema, rng, Z):
 
 
 def scalers(schema, rng):
-    lo, hi = schema.bounds()
+    lo, hi = schema.lo, schema.hi
     widths = np.where(rng.random(len(lo)) < 0.5, hi - lo, rng.uniform(0.5, 3.0, len(lo)))
     yield None
     yield MinMaxScaler.from_schema(schema)
@@ -138,7 +138,7 @@ def raw_rows(schema, rng, n):
     them with near-integral group values whose sums depend on the order
     of the additions; then a few broken cells or groups: out of bounds,
     fractional, or with two active columns or none."""
-    lo, hi = schema.bounds()
+    lo, hi = schema.lo, schema.hi
     X = lo + rng.uniform(0.0, 1.0, (n, schema.n_features)) * (hi - lo)
     ints = schema.int_cols
     X[:, ints] = np.round(X[:, ints])
@@ -255,13 +255,12 @@ def test_facts_are_built_once():
 
 def test_cached_arrays_are_read_only():
     schema, _, _ = guarded_setup()
-    lo, hi = schema.bounds()
-    arrays = [lo, hi, schema.mutable_mask(), schema.integer_mask(), *schema.column_slots()]
+    arrays = [schema.lo, schema.hi, schema.mutable, schema.integer, *schema.column_slots()]
     arrays += [v for v in vars(schema).values() if isinstance(v, np.ndarray)]
     arrays += list(schema._blocks)
     assert len(arrays) >= 20
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
-    assert schema.bounds()[0][0] == 0.0
+    assert schema.lo[0] == 0.0
     assert isinstance(schema.features, tuple)
