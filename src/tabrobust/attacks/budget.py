@@ -7,6 +7,8 @@ import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ..data import is_number
+
 NORMS = ("L2", "Linf")
 
 
@@ -35,11 +37,11 @@ class AttackBudget:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
         for name in ("eps", "lam"):
             value = getattr(self, name)
-            if not (_number(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (is_number(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         for name in ("n_iter_gradient", "n_gen", "n_off", "n_pop", "seed"):
             value = getattr(self, name)
-            if not _number(value, numbers.Integral):
+            if not is_number(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy's too, for JSON
         if self.n_iter_gradient < 1 or self.n_off < 1 or self.n_pop < 1:
@@ -71,11 +73,6 @@ class AttackBudget:
         if "lambda" in d:
             kwargs["lam"] = d["lambda"]
         return cls(**kwargs)
-
-
-def _number(value, kind) -> bool:
-    """`value` is a `kind` number (numpy's included), not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def checkpoint_schedule(n_iter: int) -> list[int]:

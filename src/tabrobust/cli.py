@@ -10,26 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .attacks.budget import AttackBudget
 from .data import DataError, load_dataset, save_dataset
 from .defense import ATConfig, AugmentConfig, adversarial_train, augment_dataset
-from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
-from .harness import (
-    EmptyAttackSet,
-    SweepSpec,
-    evaluate,
-)
+from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, check
+from .harness import SweepSpec, evaluate
 from .mlp import ReferenceModel, TrainConfig, TrainingDiverged, train
-from .parser import ConstraintParseError, load_constraints, save_constraints
-from .report import (
-    emit_report,
-    load_report,
-    merge_leaderboard,
-    write_leaderboard,
-)
-from .synth import InfeasibleSpec, SyntheticSpec, generate_synthetic
+from .parser import load_constraints, save_constraints
+from .report import emit_report, load_report, merge_leaderboard, write_leaderboard
+from .synth import SyntheticSpec, generate_synthetic
 
 
 class CliError(Exception):
@@ -63,25 +57,45 @@ def _load_bundle(args):
     return dataset, schema, cs
 
 
-def _attack_budget(args) -> tuple[AttackBudget, PenaltyConfig]:
+# Flag (argparse dest) -> the config key it overrides.
+_FLAG_KEYS = {
+    "epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
+    "norm": "norm", "eps": "eps", "gradient_iters": "n_iter_gradient", "n_gen": "n_gen",
+    "seed": "seed",
+}
+
+
+def _flags(args, keys) -> dict:
+    """The given flags whose config key is among `keys`, by key."""
+    return {
+        key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
+        if key in keys and getattr(args, flag, None) is not None
+    }
+
+
+def _config(args, keys) -> dict:
+    """The --config file's JSON object (empty without one), which may
+    hold only `keys`, with the given flags overriding its keys."""
     config = {}
     if args.config:
         config = json.loads(_require_file(args.config, "config").read_text())
+        if not isinstance(config, dict):
+            raise CliError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = set(config) - set(keys)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    return {**config, **_flags(args, keys)}
+
+
+def _attack_budget(args) -> tuple[AttackBudget, PenaltyConfig]:
+    config = _config(args, [*AttackBudget().to_dict(), "tolerance"])
     tolerance = config.pop("tolerance", None)
-    budget = AttackBudget.from_dict(config) if config else AttackBudget()
-    overrides = {}
-    for name in ("norm", "eps", "n_gen"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "gradient_iters", None) is not None:
-        overrides["n_iter_gradient"] = args.gradient_iters
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        budget = budget.with_(**overrides)
-    cfg = PenaltyConfig(tolerance=tolerance) if tolerance is not None else DEFAULT_PENALTY_CONFIG
-    return budget, cfg
+    cfg = DEFAULT_PENALTY_CONFIG if tolerance is None else PenaltyConfig(tolerance=tolerance)
+    return AttackBudget.from_dict(config), cfg
+
+
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(**_config(args, [f.name for f in fields(TrainConfig)]))
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -92,6 +106,21 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--constraints", help="constraint file (defaults to <data>/constraints.txt)"
     )
     sub.add_argument("--out", help="output path")
+
+
+def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--data", required=True, help="dataset directory or CSV")
+    sub.add_argument("--epochs", type=int, default=None)
+    sub.add_argument("--batch-size", type=int, default=None)
+    sub.add_argument("--lr", type=float, default=None)
+
+
+def _add_attack_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", required=True)
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--cap", type=int, default=500)
+    sub.add_argument("--name", default="reference-mlp")
+    sub.add_argument("--defense", default="none")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,56 +135,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=6)
     p.add_argument("--template", default="benchmark")
     p.add_argument("--noise", type=float, default=0.05)
-    _add_common(p)
 
     p = subs.add_parser("train", help="train the reference classifier")
-    p.add_argument("--data", required=True, help="dataset directory or CSV")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    _add_common(p)
+    _add_train_flags(p)
 
     p = subs.add_parser("advtrain", help="adversarially train the classifier")
-    p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    _add_train_flags(p)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--norm", choices=("L2", "Linf"), default=None)
     p.add_argument("--inner-iters", type=int, default=5)
     p.add_argument("--replay", type=float, default=0.5)
     p.add_argument("--augment", choices=("none", "cutmix"), default="none")
     p.add_argument("--augment-ratio", type=float, default=0.5)
-    _add_common(p)
 
     p = subs.add_parser("attack", help="evaluate robust accuracy under attack")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_flags(p)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--norm", choices=("L2", "Linf"), default=None)
     p.add_argument("--gradient-iters", type=int, default=None)
     p.add_argument("--n-gen", type=int, default=None)
-    p.add_argument("--cap", type=int, default=500)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--name", default="reference-mlp")
-    p.add_argument("--defense", default="none")
-    _add_common(p)
 
     p = subs.add_parser("sweep", help="robust accuracy across an attack budget axis")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_flags(p)
     p.add_argument("--axis", choices=("eps", "gradient_iters", "search_iters"),
                    required=True)
     p.add_argument("--values", help="comma-separated budget values")
-    p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--name", default="reference-mlp")
-    p.add_argument("--defense", default="none")
-    _add_common(p)
 
     p = subs.add_parser("report", help="merge report JSONs into a leaderboard CSV")
     p.add_argument("--inputs", nargs="+", required=True)
-    _add_common(p)
 
+    for p in subs.choices.values():
+        _add_common(p)
     return parser
 
 
@@ -178,21 +189,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    kwargs = {}
-    if args.config:
-        kwargs = json.loads(_require_file(args.config, "config").read_text())
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        kwargs["batch_size"] = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        kwargs["learning_rate"] = args.lr
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return TrainConfig(**kwargs)
-
-
 def cmd_train(args) -> int:
     dataset, schema, _ = _load_bundle(args)
     cfg = _train_config(args)
@@ -213,6 +209,9 @@ def cmd_train(args) -> int:
 
 def cmd_advtrain(args) -> int:
     dataset, schema, cs = _load_bundle(args)
+    ok = check(cs, dataset.X)
+    if not ok.all():
+        raise DataError(f"row {np.flatnonzero(~ok)[0]} violates the constraints")
     cfg = _train_config(args)
     if args.augment != "none":
         dataset = augment_dataset(
@@ -220,12 +219,8 @@ def cmd_advtrain(args) -> int:
             AugmentConfig(method=args.augment, ratio=args.augment_ratio,
                           seed=cfg.seed),
         )
-    inner = AttackBudget(
-        norm=args.norm or "L2",
-        eps=args.eps if args.eps is not None else 0.5,
-        n_iter_gradient=args.inner_iters,
-        seed=cfg.seed,
-    )
+    inner = AttackBudget(n_iter_gradient=args.inner_iters, seed=cfg.seed)
+    inner = inner.with_(**_flags(args, ("norm", "eps")))
     at_cfg = ATConfig(inner_budget=inner, replay_fraction=args.replay)
     model = ReferenceModel(schema.n_features, seed=cfg.seed)
     model, history = adversarial_train(
@@ -240,50 +235,32 @@ def cmd_advtrain(args) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
+def cmd_evaluate(args) -> int:
+    """`attack` (one budget, a JSON or CSV report) and `sweep` (one
+    budget per value along an axis, a CSV report)."""
     _require_file(args.model, "model")
     dataset, schema, cs = _load_bundle(args)
     model = ReferenceModel.load(args.model)
     budget, cfg = _attack_budget(args)
-    report = evaluate(
-        model, cs, dataset, schema, budget,
-        model_name=args.name, defense=args.defense,
-        cfg=cfg, cap=args.cap,
-    )
-    out = Path(args.out or "report.json")
-    emit_report(report, out, format=args.format)
-    entry = report.headline
-    print(
-        f"clean acc={report.clean['accuracy']:.4f} "
-        f"robust acc (constrained)={entry.robust_accuracy_constrained:.4f} "
-        f"(unconstrained)={entry.robust_accuracy_unconstrained:.4f}; wrote {out}"
-    )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    _require_file(args.model, "model")
-    dataset, schema, cs = _load_bundle(args)
-    model = ReferenceModel.load(args.model)
-    budget, cfg = _attack_budget(args)
-    values = None
-    if args.values:
+    if args.command == "attack":
+        sweep, out, fmt = None, args.out or "report.json", args.format
+    else:
         try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [float(v) for v in (args.values or "").split(",") if v.strip()]
         except ValueError as e:
             raise CliError(f"bad --values: {e}") from None
-    sweep = SweepSpec(axis=args.axis, values=values or [])
+        sweep, out, fmt = SweepSpec(axis=args.axis, values=values), args.out or "sweep.csv", "csv"
     report = evaluate(
         model, cs, dataset, schema, budget,
         model_name=args.name, defense=args.defense,
         cfg=cfg, cap=args.cap, sweep=sweep,
     )
-    out = Path(args.out or "sweep.csv")
-    emit_report(report, out, format="csv")
+    emit_report(report, Path(out), format=fmt)
+    print(f"clean acc={report.clean['accuracy']:.4f}")
     for e in report.budgets:
         print(
-            f"{args.axis}={e.value}: robust acc constrained="
-            f"{e.robust_accuracy_constrained:.4f}"
+            f"{e.axis}={e.value}: robust acc (constrained)={e.robust_accuracy_constrained:.4f} "
+            f"(unconstrained)={e.robust_accuracy_unconstrained:.4f}"
         )
     print(f"wrote {out}")
     return 0
@@ -305,8 +282,8 @@ _COMMANDS = {
     "synth": cmd_synth,
     "train": cmd_train,
     "advtrain": cmd_advtrain,
-    "attack": cmd_attack,
-    "sweep": cmd_sweep,
+    "attack": cmd_evaluate,
+    "sweep": cmd_evaluate,
     "report": cmd_report,
 }
 
@@ -321,17 +298,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (
-        CliError,
-        DataError,
-        ConstraintParseError,
-        InfeasibleSpec,
-        EmptyAttackSet,
-        json.JSONDecodeError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except TrainingDiverged as e:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -46,6 +47,11 @@ def json_field(d, key: str, types, what: str, default=_REQUIRED):
         names = " or ".join(t.__name__ for t in types)
         raise DataError(f"{what} field {key!r} must be {names}, got {type(value).__name__}")
     return value
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """`value` is a `kind` number (numpy's included), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,8 @@ class DatasetSchema:
     critical_class: int = 1
 
     def __post_init__(self):
+        if self.critical_class not in (0, 1):
+            raise DataError(f"critical_class must be 0 or 1, got {self.critical_class!r}")
         feats = self.features = tuple(self.features)
         self._index = {f.name: i for i, f in enumerate(feats)}
         if len(self._index) != len(feats):
@@ -179,17 +187,18 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSchema":
-        try:
-            feats = [
-                FeatureMetadata(
-                    f["name"], f.get("kind", "continuous"), float(f["min"]), float(f["max"]),
-                    bool(f.get("mutable", True)), f.get("onehot_group"),
-                )
-                for f in d["features"]
-            ]
-        except KeyError as e:
-            raise DataError(f"schema missing field {e}") from e
-        return cls(feats, critical_class=int(d.get("critical_class", 1)))
+        feats = []
+        for i, f in enumerate(json_field(d, "features", list, "schema")):
+            what = f"schema feature {i}"
+            feats.append(FeatureMetadata(
+                json_field(f, "name", str, what),
+                json_field(f, "kind", str, what, "continuous"),
+                float(json_field(f, "min", (int, float), what)),
+                float(json_field(f, "max", (int, float), what)),
+                json_field(f, "mutable", bool, what, True),
+                json_field(f, "onehot_group", (int, str, type(None)), what, None),
+            ))
+        return cls(feats, critical_class=json_field(d, "critical_class", int, "schema", 1))
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

@@ -166,7 +166,8 @@ def adversarial_train(
     Per batch, the leading (1 - replay_fraction) share of rows is
     replaced by gradient-attack candidates against the current weights;
     candidates failing validation revert to clean rows. With a zero
-    inner eps this reduces exactly to standard training.
+    inner eps this reduces exactly to standard training. Every row of
+    `dataset` must satisfy `cs`: each training batch is asserted to.
     """
     budget = at_cfg.inner_budget
 

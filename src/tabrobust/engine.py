@@ -47,6 +47,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .data import is_number
 from .expressions import (
     Constraint,
     ConstraintSet,
@@ -69,10 +70,12 @@ class PenaltyConfig:
     strict_margin: float = 1e-6
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
-        if not (math.isfinite(self.strict_margin) and self.strict_margin > 0):
-            raise ValueError(f"strict_margin must be finite and positive, got {self.strict_margin}")
+        if not (is_number(self.tolerance) and math.isfinite(self.tolerance)
+                and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
+        if not (is_number(self.strict_margin) and math.isfinite(self.strict_margin)
+                and self.strict_margin > 0):
+            raise ValueError(f"strict_margin must be finite and positive, got {self.strict_margin!r}")
 
 
 DEFAULT_PENALTY_CONFIG = PenaltyConfig()

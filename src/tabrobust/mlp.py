@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, json_field
+from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, is_number, json_field
 from .metrics import auc_score
 
 CHECKPOINT_VERSION = 1
@@ -46,6 +47,13 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if not is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
+                     "validation_fraction"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("epochs must be >= 0 and batch size positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

@@ -61,15 +61,7 @@ class BudgetEntry:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "value": self.value,
-            "budget": self.budget,
-            "robust_accuracy_constrained": self.robust_accuracy_constrained,
-            "robust_accuracy_unconstrained": self.robust_accuracy_unconstrained,
-            "n_success_constrained": self.n_success_constrained,
-            "n_success_unconstrained": self.n_success_unconstrained,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
 
     @classmethod
     def from_dict(cls, d: dict, wall_time: float = 0.0) -> "BudgetEntry":

@@ -1,5 +1,7 @@
 """Schema handling, dataset ingestion, and min-max scaling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,41 @@ class TestSchema:
             DatasetSchema.from_dict(
                 {"features": [{"name": "k", "kind": "integer", "min": lo, "max": hi}]}
             )
+
+    @pytest.mark.parametrize("d,message", [
+        ([], "schema must be a JSON object, got list"),
+        ({"features": 3}, "schema field 'features' must be list, got int"),
+        ({"features": [3]}, "schema feature 0 must be a JSON object, got int"),
+        ({"features": [{"name": "x", "min": None, "max": 1}]},
+         "schema feature 0 field 'min' must be int or float, got NoneType"),
+        ({"features": [{"name": "x", "min": 0}]}, "schema feature 0 missing field 'max'"),
+        ({"features": [{"name": 5, "min": 0, "max": 1}]},
+         "schema feature 0 field 'name' must be str, got int"),
+        ({"features": [{"name": "x", "kind": 1, "min": 0, "max": 1}]},
+         "schema feature 0 field 'kind' must be str, got int"),
+        ({"features": [{"name": "x", "min": 0, "max": 1, "mutable": "false"}]},
+         "schema feature 0 field 'mutable' must be bool, got str"),
+        ({"features": [{"name": "x", "kind": "categorical", "min": 0, "max": 1,
+                        "onehot_group": True}]},
+         "schema feature 0 field 'onehot_group' must be int or str or NoneType, got bool"),
+        ({"features": [], "critical_class": "1"},
+         "schema field 'critical_class' must be int, got str"),
+        ({"features": [], "critical_class": 5}, "critical_class must be 0 or 1, got 5"),
+    ])
+    def test_malformed_schema_names_the_field(self, d, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            DatasetSchema.from_dict(d)
+
+    def test_from_dict_reads_typed_fields(self):
+        schema = DatasetSchema.from_dict({"critical_class": 0, "features": [
+            {"name": "x", "min": 0, "max": 2},
+            {"name": "y", "min": -1.5, "max": 1, "mutable": False},
+            {"name": "c", "kind": "categorical", "min": 0, "max": 1, "onehot_group": 3},
+        ]})
+        assert schema.critical_class == 0
+        assert schema.mutable.tolist() == [True, False, True]
+        assert [type(f.min) for f in schema.features] == [float] * 3
+        assert schema.group_keys == (3,)
 
     def test_integer_bounds_accepted(self):
         assert FeatureMetadata("k", "integer", np.int64(1), 6).max == 6

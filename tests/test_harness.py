@@ -2,12 +2,17 @@
 
 import csv
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tabrobust import harness
 from tabrobust.attacks import AttackBudget, validity_mask
+from tabrobust.cli import build_parser
 from tabrobust.cli import main as cli_main
 from tabrobust.data import DataError, Dataset
 from tabrobust.engine import PenaltyConfig
@@ -334,6 +339,9 @@ class TestCli:
             ('{"n_pop": true}', "n_pop must be an integer"),
             ('{"seed": 1.5}', "seed must be an integer"),
             ('{"seed": -1}', "seed must be nonnegative"),
+            ("[]", "config must be a JSON object, got list"),
+            ('{"epochs": 5}', "unknown config keys: ['epochs']"),
+            ('{"tolerance": "0.1"}', "tolerance must be finite"),
         ):
             config.write_text(text)
             capsys.readouterr()
@@ -343,6 +351,68 @@ class TestCli:
             ) == 1, text
             assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_bad_train_config_exits_one(self, cli_dataset, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        for command, text, message in (
+            ("train", "[]", "config must be a JSON object, got list"),
+            ("train", '{"foo": 1}', "unknown config keys: ['foo']"),
+            ("advtrain", '{"eps": 0.5}', "unknown config keys: ['eps']"),
+            ("train", '{"epochs": "5"}', "epochs must be an integer"),
+            ("train", '{"epochs": 1.5}', "epochs must be an integer"),
+            ("advtrain", '{"batch_size": 0.5}', "batch_size must be an integer"),
+        ):
+            config.write_text(text)
+            capsys.readouterr()
+            assert cli_main(
+                [command, "--data", str(cli_dataset), "--config", str(config),
+                 "--out", str(tmp_path / "m.json")]
+            ) == 1, (command, text)
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_malformed_schema_exits_one(self, cli_dataset, tmp_path, capsys):
+        schema = json.loads((cli_dataset / "schema.json").read_text())
+        schema["features"][0]["mutable"] = "false"
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(schema))
+        (tmp_path / "model.json").write_text("{}")  # the schema is read first
+        capsys.readouterr()
+        assert cli_main(
+            ["attack", "--model", str(tmp_path / "model.json"), "--data", str(cli_dataset),
+             "--schema", str(bad), "--out", str(tmp_path / "r.json")]
+        ) == 1
+        assert "field 'mutable' must be bool, got str" in capsys.readouterr().err
+
+    def test_advtrain_rejects_constraint_violating_row(self, cli_dataset, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_dataset, ds)
+        lines = (ds / "data.csv").read_text().splitlines()
+        row = lines[4].split(",")  # data row 3
+        f1_plus_f2 = float(row[1]) + float(row[2])
+        row[0] = "10.0" if f1_plus_f2 < 5 else "-10.0"  # breaks F0 == F1 + F2
+        lines[4] = ",".join(row)
+        (ds / "data.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(
+            ["advtrain", "--data", str(ds), "--epochs", "1", "--inner-iters", "1",
+             "--out", str(tmp_path / "m.json")]
+        ) == 1
+        assert "row 3 violates the constraints" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\s+```bash\n(.*?)```", readme, re.S).group(1)
+        commands = [
+            shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tabrobust ")
+        ]
+        assert [argv[0] for argv in commands] == [
+            "synth", "train", "advtrain", "attack", "sweep", "report"
+        ]
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_non_finite_training_options_exit_one(self, cli_dataset, tmp_path, capsys):
         common = ["--data", str(cli_dataset), "--epochs", "1", "--inner-iters", "1",

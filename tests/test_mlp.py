@@ -200,6 +200,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning rate must be finite"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"epochs": "5"}, "epochs must be an integer"),
+        ({"epochs": 1.5}, "epochs must be an integer"),
+        ({"batch_size": 0.5}, "batch_size must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"learning_rate": "0.01"}, "learning_rate must be a real number"),
+        ({"adam_beta1": None}, "adam_beta1 must be a real number"),
+        ({"validation_fraction": "0.2"}, "validation_fraction must be a real number"),
+    ])
+    def test_field_types_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = TrainConfig(epochs=np.int64(2), seed=np.uint32(3), learning_rate=np.float32(0.01))
+        assert cfg.epochs == 2 and cfg.seed == 3
+
 
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
