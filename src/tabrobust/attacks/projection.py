@@ -14,8 +14,6 @@ column is set to whether its position is its group's winner.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..data import DatasetSchema, MinMaxScaler
@@ -58,7 +56,7 @@ def project(
     original: np.ndarray,
     budget: AttackBudget,
     schema: DatasetSchema,
-    scaler: Optional[MinMaxScaler] = None,
+    scaler: MinMaxScaler,
 ) -> np.ndarray:
     """Project candidate rows into the feasible region around originals."""
     cand = np.atleast_2d(np.asarray(candidate, dtype=float)).copy()
@@ -76,8 +74,6 @@ def project(
     # Round in raw units: only the integer columns go through the scaler.
     ints = schema.int_cols
     if ints.size:
-        if scaler is None:
-            scaler = MinMaxScaler.from_schema(schema)
         low, width = scaler.min_[ints], scaler.width_[ints]
         raw = np.clip(np.round(cand[:, ints] * width + low), schema.lo[ints], schema.hi[ints])
         cand[:, ints] = (raw - low) / width

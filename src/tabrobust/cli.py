@@ -30,38 +30,36 @@ class CliError(Exception):
     """User-facing validation problem; exits with code 1."""
 
 
-def _require_file(path: str, kind: str) -> Path:
+def _require_file(path: str | Path, kind: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise CliError(f"{kind} file not found: {path}")
     return p
 
 
-def _data_paths(args) -> tuple[Path, Path, Path]:
-    data_dir = Path(args.data)
-    csv_path = data_dir / "data.csv" if data_dir.is_dir() else data_dir
-    schema_path = Path(args.schema) if args.schema else csv_path.parent / "schema.json"
-    constraints_path = (
-        Path(args.constraints) if args.constraints else csv_path.parent / "constraints.txt"
-    )
-    _require_file(str(csv_path), "data")
-    _require_file(str(schema_path), "schema")
-    _require_file(str(constraints_path), "constraints")
-    return csv_path, schema_path, constraints_path
-
-
 def _load_bundle(args):
-    csv_path, schema_path, constraints_path = _data_paths(args)
+    """The --data dataset, its schema and, for a command that takes
+    --constraints, its constraint set (else None). --schema and
+    --constraints default to the files beside the data CSV."""
+    data_dir = Path(args.data)
+    csv_path = _require_file(data_dir / "data.csv" if data_dir.is_dir() else data_dir, "data")
+    schema_path = _require_file(args.schema or csv_path.parent / "schema.json", "schema")
+    constraints_path = _require_file(
+        args.constraints or csv_path.parent / "constraints.txt", "constraints"
+    ) if "constraints" in args else None
     dataset, schema = load_dataset(csv_path, schema_path)
-    cs = load_constraints(constraints_path, schema)
+    cs = load_constraints(constraints_path, schema) if constraints_path else None
     return dataset, schema, cs
 
 
-# Flag (argparse dest) -> the config key it overrides.
+# Flag (argparse dest) -> the config key or keyword it sets. Each of
+# these flags defaults to None, so the library owns every default.
 _FLAG_KEYS = {
     "epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
     "norm": "norm", "eps": "eps", "gradient_iters": "n_iter_gradient", "n_gen": "n_gen",
-    "seed": "seed",
+    "seed": "seed", "rows": "n_rows", "features": "n_features", "template": "template",
+    "noise": "label_noise", "inner_iters": "n_iter_gradient", "replay": "replay_fraction",
+    "augment_ratio": "ratio", "cap": "cap", "name": "model_name", "defense": "defense",
 }
 
 
@@ -98,29 +96,19 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_config(args, [f.name for f in fields(TrainConfig)]))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--schema", help="schema JSON (defaults to <data>/schema.json)")
-    sub.add_argument(
-        "--constraints", help="constraint file (defaults to <data>/constraints.txt)"
-    )
-    sub.add_argument("--out", help="output path")
-
-
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", required=True, help="dataset directory or CSV")
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--batch-size", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
+    sub.add_argument("--epochs", type=int)
+    sub.add_argument("--batch-size", type=int)
+    sub.add_argument("--lr", type=float)
 
 
 def _add_attack_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True)
     sub.add_argument("--data", required=True)
-    sub.add_argument("--cap", type=int, default=500)
-    sub.add_argument("--name", default="reference-mlp")
-    sub.add_argument("--defense", default="none")
+    sub.add_argument("--cap", type=int)
+    sub.add_argument("--name")
+    sub.add_argument("--defense")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,29 +119,29 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", help="generate a synthetic constrained dataset")
-    p.add_argument("--rows", type=int, default=5000)
-    p.add_argument("--features", type=int, default=6)
-    p.add_argument("--template", default="benchmark")
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--rows", type=int)
+    p.add_argument("--features", type=int)
+    p.add_argument("--template")
+    p.add_argument("--noise", type=float)
 
     p = subs.add_parser("train", help="train the reference classifier")
     _add_train_flags(p)
 
     p = subs.add_parser("advtrain", help="adversarially train the classifier")
     _add_train_flags(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--norm", choices=("L2", "Linf"), default=None)
-    p.add_argument("--inner-iters", type=int, default=5)
-    p.add_argument("--replay", type=float, default=0.5)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--norm", choices=("L2", "Linf"))
+    p.add_argument("--inner-iters", type=int)
+    p.add_argument("--replay", type=float)
     p.add_argument("--augment", choices=("none", "cutmix"), default="none")
-    p.add_argument("--augment-ratio", type=float, default=0.5)
+    p.add_argument("--augment-ratio", type=float)
 
     p = subs.add_parser("attack", help="evaluate robust accuracy under attack")
     _add_attack_flags(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--norm", choices=("L2", "Linf"), default=None)
-    p.add_argument("--gradient-iters", type=int, default=None)
-    p.add_argument("--n-gen", type=int, default=None)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--norm", choices=("L2", "Linf"))
+    p.add_argument("--gradient-iters", type=int)
+    p.add_argument("--n-gen", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("sweep", help="robust accuracy across an attack budget axis")
@@ -165,26 +153,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("report", help="merge report JSONs into a leaderboard CSV")
     p.add_argument("--inputs", nargs="+", required=True)
 
-    for p in subs.choices.values():
-        _add_common(p)
+    # The shared flags, each on the subcommands whose handler reads it.
+    for commands, flag, kwargs in (
+        ("synth train advtrain attack sweep report", "--out", {"help": "output path"}),
+        ("synth train advtrain attack sweep", "--seed", {"type": int, "help": "master seed"}),
+        ("synth train advtrain attack sweep", "--schema",
+         {"help": "schema JSON (defaults to <data>/schema.json)"}),
+        ("train advtrain attack sweep", "--config", {"help": "JSON config file"}),
+        ("synth advtrain attack sweep", "--constraints",
+         {"help": "constraint file (defaults to <data>/constraints.txt)"}),
+    ):
+        for command in commands.split():
+            subs.choices[command].add_argument(flag, **kwargs)
     return parser
 
 
 def cmd_synth(args) -> int:
     out_dir = Path(args.out or "dataset")
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = SyntheticSpec(
-        n_rows=args.rows,
-        n_features=args.features,
-        template=args.template,
-        label_noise=args.noise,
-    )
+    spec = SyntheticSpec(**_flags(args, [f.name for f in fields(SyntheticSpec)]))
     dataset, schema, cs = generate_synthetic(spec, seed=args.seed or 0)
     save_dataset(dataset, schema, out_dir / "data.csv")
-    schema.save(Path(args.schema) if args.schema else out_dir / "schema.json")
-    save_constraints(
-        cs, Path(args.constraints) if args.constraints else out_dir / "constraints.txt"
-    )
+    schema.save(Path(args.schema or out_dir / "schema.json"))
+    save_constraints(cs, Path(args.constraints or out_dir / "constraints.txt"))
     print(f"wrote {dataset.n_rows} rows to {out_dir}")
     return 0
 
@@ -213,15 +204,14 @@ def cmd_advtrain(args) -> int:
     if not ok.all():
         raise DataError(f"row {np.flatnonzero(~ok)[0]} violates the constraints")
     cfg = _train_config(args)
-    if args.augment != "none":
-        dataset = augment_dataset(
-            dataset, schema, cs,
-            AugmentConfig(method=args.augment, ratio=args.augment_ratio,
-                          seed=cfg.seed),
-        )
-    inner = AttackBudget(n_iter_gradient=args.inner_iters, seed=cfg.seed)
-    inner = inner.with_(**_flags(args, ("norm", "eps")))
-    at_cfg = ATConfig(inner_budget=inner, replay_fraction=args.replay)
+    dataset = augment_dataset(
+        dataset, schema, cs,
+        AugmentConfig(method=args.augment, seed=cfg.seed, **_flags(args, ("ratio",))),
+    )
+    inner = ATConfig().inner_budget.with_(
+        seed=cfg.seed, **_flags(args, ("norm", "eps", "n_iter_gradient"))
+    )
+    at_cfg = ATConfig(inner_budget=inner, **_flags(args, ("replay_fraction",)))
     model = ReferenceModel(schema.n_features, seed=cfg.seed)
     model, history = adversarial_train(
         model, dataset, cs, at_cfg, cfg, schema
@@ -251,9 +241,8 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"bad --values: {e}") from None
         sweep, out, fmt = SweepSpec(axis=args.axis, values=values), args.out or "sweep.csv", "csv"
     report = evaluate(
-        model, cs, dataset, schema, budget,
-        model_name=args.name, defense=args.defense,
-        cfg=cfg, cap=args.cap, sweep=sweep,
+        model, cs, dataset, schema, budget, cfg=cfg, sweep=sweep,
+        **_flags(args, ("cap", "model_name", "defense")),
     )
     emit_report(report, Path(out), format=fmt)
     print(f"clean acc={report.clean['accuracy']:.4f}")

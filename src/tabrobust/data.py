@@ -171,11 +171,10 @@ class DatasetSchema:
         return np.split(self.slot_cols, np.cumsum(self.slot_sizes))[:-1]
 
     @classmethod
-    def generic(cls, n_features: int, critical_class: int = 1) -> "DatasetSchema":
+    def generic(cls, n_features: int) -> "DatasetSchema":
         """Schema of n unconstrained continuous features named F0..F{n-1}."""
         return cls(
-            [FeatureMetadata(name=f"F{i}", min=-np.inf, max=np.inf) for i in range(n_features)],
-            critical_class=critical_class,
+            [FeatureMetadata(name=f"F{i}", min=-np.inf, max=np.inf) for i in range(n_features)]
         )
 
     def to_dict(self) -> dict:
@@ -382,4 +381,9 @@ class MinMaxScaler:
         s = cls()
         s.min_ = np.array(json_field(d, "min", list, "scaler"), dtype=float)
         s.width_ = np.array(json_field(d, "width", list, "scaler"), dtype=float)
+        for key, v in (("min", s.min_), ("width", s.width_)):
+            if v.ndim != 1 or not np.all(np.isfinite(v)):
+                raise DataError(f"scaler field {key!r} must be a list of finite numbers")
+        if np.any(s.width_ <= 0):
+            raise DataError("scaler field 'width' must be positive")
         return s

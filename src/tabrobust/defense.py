@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ATConfig:
         default_factory=lambda: AttackBudget(n_iter_gradient=5)
     )
     replay_fraction: float = 0.5
-    clean_accuracy_budget: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.replay_fraction <= 1.0:
@@ -159,7 +158,6 @@ def adversarial_train(
     train_cfg: TrainConfig,
     schema: DatasetSchema,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-    baseline_accuracy: Optional[float] = None,
 ) -> tuple[ReferenceModel, TrainHistory]:
     """Madry-style training under constraints.
 
@@ -186,15 +184,4 @@ def adversarial_train(
         assert np.all(check(cs, raw, cfg)), "training batch violates constraints"
         return mixed
 
-    model, history = train(model, dataset, train_cfg, schema=schema, batch_hook=hook)
-
-    if baseline_accuracy is not None:
-        preds = model.predict(dataset.X)
-        acc = float((preds == dataset.y).mean())
-        if acc < baseline_accuracy - at_cfg.clean_accuracy_budget:
-            logger.warning(
-                "adversarial training dropped clean accuracy to %.3f "
-                "(baseline %.3f, budget %.3f)",
-                acc, baseline_accuracy, at_cfg.clean_accuracy_budget,
-            )
-    return model, history
+    return train(model, dataset, train_cfg, schema=schema, batch_hook=hook)

@@ -12,6 +12,7 @@ contains has been re-validated here, outside the attack code.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 from .attacks import AttackBudget, caa
 from .attacks.caa import AttackResult
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema
+from .data import Dataset, DatasetSchema, is_number
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .expressions import ConstraintSet
 from .metrics import classification_metrics
@@ -50,6 +51,8 @@ class SweepSpec:
             self.values = list(SWEEP_DEFAULTS[self.axis])
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ValueError("sweep values must be finite and positive")
+        if len(set(map(float, self.values))) < len(self.values):
+            raise ValueError(f"sweep values must not repeat, got {self.values}")
         if self.axis != "eps" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.axis} sweep values must be integers")
 
@@ -70,6 +73,8 @@ def select_attack_set(
     Larger sets are subsampled to `cap` rows (seeded, order-preserving)
     to keep desk-scale runs tractable.
     """
+    if cap is not None and not (is_number(cap, numbers.Integral) and cap >= 1):
+        raise ValueError(f"cap must be None or an integer >= 1, got {cap!r}")
     preds = model.predict(dataset.X)
     mask = (dataset.y == schema.critical_class) & (preds == dataset.y)
     indices = np.where(mask)[0]

@@ -51,16 +51,14 @@ def mcc_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return (tp * tn - fp * fn) / np.sqrt(float(denom))
 
 
-def classification_metrics(
-    y_true: np.ndarray, y_score: np.ndarray, threshold: float = 0.5
-) -> dict[str, float]:
-    """accuracy, AUC, MCC, precision, recall at the given threshold.
+def classification_metrics(y_true: np.ndarray, y_score: np.ndarray) -> dict[str, float]:
+    """accuracy, AUC, MCC, precision, recall at the score threshold 0.5.
 
     Precision/recall of an empty predicted/actual positive set are 0.
     """
     y_true = np.asarray(y_true, dtype=int)
     y_score = np.asarray(y_score, dtype=float)
-    y_pred = (y_score >= threshold).astype(int)
+    y_pred = (y_score >= 0.5).astype(int)
     tp, fp, tn, fn = confusion_counts(y_true, y_pred)
     n = len(y_true)
     return {

@@ -179,10 +179,18 @@ class ReferenceModel:
         if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
             raise DataError(f"model field 'hidden' must be a list of integers, got {hidden!r}")
         model = cls(n_features, hidden=tuple(hidden))
-        model.weights = [np.array(w, dtype=float) for w in json_field(d, "weights", list, "model")]
-        model.biases = [np.array(b, dtype=float) for b in json_field(d, "biases", list, "model")]
         scaler = json_field(d, "scaler", (dict, type(None)), "model")
         model.scaler = MinMaxScaler.from_dict(scaler) if scaler else None
+        if scaler and not len(model.scaler.min_) == len(model.scaler.width_) == n_features:
+            raise DataError(f"model scaler fields 'min' and 'width' must have {n_features} entries")
+        # The freshly built model's layers give the shapes the file must have.
+        for key, layers in (("weights", model.weights), ("biases", model.biases)):
+            got = [np.array(a, dtype=float) for a in json_field(d, key, list, "model")]
+            want = [a.shape for a in layers]
+            if [a.shape for a in got] != want:
+                raise DataError(f"model field {key!r} must have shapes {want}, "
+                                f"got {[a.shape for a in got]}")
+            setattr(model, key, got)
         return model
 
 

@@ -19,6 +19,7 @@ Feature layout (raw units):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ class SyntheticSpec:
             raise InfeasibleSpec("templates need at least 6 features")
         if self.n_rows < 2:
             raise InfeasibleSpec("need at least 2 rows")
+        if not (math.isfinite(self.label_noise) and self.label_noise >= 0):
+            raise InfeasibleSpec(
+                f"label_noise must be finite and nonnegative, got {self.label_noise}"
+            )
 
 
 def _schema(spec: SyntheticSpec) -> DatasetSchema:

@@ -143,46 +143,51 @@ def continuous_schema(n, immutable=()):
 class TestProject:
     def test_inside_ball_only_clipped(self):
         schema = continuous_schema(3)
+        scaler = MinMaxScaler.from_schema(schema)
         budget = AttackBudget(eps=0.6)
         orig = np.array([0.5, 0.5, 0.5])
         cand = np.array([0.6, 1.2, 0.45])  # post-clip distance ~0.512
-        out = project(cand, orig, budget, schema)
+        out = project(cand, orig, budget, schema, scaler)
         assert np.allclose(out, [0.6, 1.0, 0.45])
 
     def test_l2_radial_projection_closed_form(self):
         schema = continuous_schema(2)
+        scaler = MinMaxScaler.from_schema(schema)
         eps = 0.2
         budget = AttackBudget(eps=eps, norm="L2")
         orig = np.array([0.5, 0.5])
         direction = np.array([0.6, 0.8])
         cand = orig + 2 * eps * direction  # distance 2 eps
-        out = project(cand, orig, budget, schema)
+        out = project(cand, orig, budget, schema, scaler)
         assert np.allclose(out, orig + eps * direction, atol=1e-12)
         assert distance(out, orig, "L2") <= eps + 1e-9
 
     def test_linf_coordinate_clip(self):
         schema = continuous_schema(2)
+        scaler = MinMaxScaler.from_schema(schema)
         budget = AttackBudget(eps=0.1, norm="Linf")
-        out = project(np.array([0.9, 0.52]), np.array([0.5, 0.5]), budget, schema)
+        out = project(np.array([0.9, 0.52]), np.array([0.5, 0.5]), budget, schema, scaler)
         assert np.allclose(out, [0.6, 0.52])
 
     def test_immutable_restored_exactly(self):
         schema = continuous_schema(3, immutable={1})
+        scaler = MinMaxScaler.from_schema(schema)
         budget = AttackBudget(eps=0.5)
         orig = np.array([0.5, 0.123456789, 0.5])
-        out = project(np.array([0.6, 0.9, 0.4]), orig, budget, schema)
+        out = project(np.array([0.6, 0.9, 0.4]), orig, budget, schema, scaler)
         assert out[1] == orig[1]
 
     def test_idempotent_for_continuous_schema(self):
         rng = np.random.default_rng(0)
         schema = continuous_schema(4, immutable={2})
+        scaler = MinMaxScaler.from_schema(schema)
         for norm in ("L2", "Linf"):
             budget = AttackBudget(eps=0.3, norm=norm)
             for _ in range(50):
                 orig = rng.uniform(0, 1, 4)
                 cand = orig + rng.normal(0, 0.5, 4)
-                once = project(cand, orig, budget, schema)
-                twice = project(once, orig, budget, schema)
+                once = project(cand, orig, budget, schema, scaler)
+                twice = project(once, orig, budget, schema, scaler)
                 assert np.array_equal(once, twice)
 
     def test_integer_rounding_in_scaled_space(self):
@@ -209,9 +214,10 @@ class TestProject:
                 FeatureMetadata("c_c", "categorical", 0, 1, onehot_group="g"),
             ]
         )
+        scaler = MinMaxScaler.from_schema(schema)
         budget = AttackBudget(eps=2.0, norm="Linf")
         orig = np.array([0.5, 1.0, 0.0, 0.0])
-        out = project(np.array([0.5, 0.2, 0.7, 0.4]), orig, budget, schema)
+        out = project(np.array([0.5, 0.2, 0.7, 0.4]), orig, budget, schema, scaler)
         assert out[1:].tolist() == [0.0, 1.0, 0.0]
 
 

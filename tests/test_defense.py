@@ -267,14 +267,3 @@ class TestAdversarialTrain:
             params.append(model.get_params())
         for a, b in zip(*params):
             assert np.array_equal(a, b)
-
-    def test_warns_on_clean_accuracy_collapse(self, bench, caplog):
-        dataset, schema, cs = bench
-        tc = TrainConfig(epochs=1, seed=8)
-        at = ATConfig(inner_budget=AttackBudget(eps=0.3, n_iter_gradient=2, seed=8))
-        model = ReferenceModel(schema.n_features, seed=8)
-        with caplog.at_level("WARNING"):
-            adversarial_train(
-                model, dataset, cs, at, tc, schema, baseline_accuracy=1.0
-            )
-        assert any("clean accuracy" in m for m in caplog.messages)

@@ -12,7 +12,7 @@ import pytest
 
 from tabrobust import harness
 from tabrobust.attacks import AttackBudget, validity_mask
-from tabrobust.cli import build_parser
+from tabrobust.cli import _FLAG_KEYS, build_parser
 from tabrobust.cli import main as cli_main
 from tabrobust.data import DataError, Dataset
 from tabrobust.engine import PenaltyConfig
@@ -47,6 +47,12 @@ class TestSelectAttackSet:
         a = select_attack_set(model, dataset, schema, cap=50, seed=1)
         b = select_attack_set(model, dataset, schema, cap=50, seed=1)
         assert np.array_equal(a, b) and len(a) == 50
+
+    def test_cap_must_be_none_or_positive_integer(self, small_bench):
+        model, dataset, schema, _ = small_bench
+        for cap in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="cap must be None or an integer >= 1"):
+                select_attack_set(model, dataset, schema, cap=cap)
 
     def test_all_wrong_class_is_error(self, small_bench):
         model, dataset, schema, _ = small_bench
@@ -181,6 +187,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(axis="eps", values=[float("nan"), 0.5])
 
+    def test_repeated_values_rejected(self):
+        for axis, values in (("eps", [0.5, 0.25, 0.5]), ("gradient_iters", [5, 5.0])):
+            with pytest.raises(ValueError, match="sweep values must not repeat"):
+                SweepSpec(axis=axis, values=values)
+
 
 class TestReports:
     def make_report(self, seed=0, ra=0.8):
@@ -247,6 +258,16 @@ def cli_dataset(tmp_path_factory):
     )
     assert code == 0
     return ds_dir
+
+
+@pytest.fixture(scope="module")
+def cli_model(cli_dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_model") / "model.json"
+    assert cli_main(
+        ["train", "--data", str(cli_dataset), "--epochs", "1", "--seed", "1",
+         "--out", str(path)]
+    ) == 0
+    return path
 
 
 class TestCli:
@@ -401,6 +422,56 @@ class TestCli:
         assert "row 3 violates the constraints" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_flag_key_flags_default_to_none(self):
+        # A flag mapped to a library key must leave the default to the library.
+        checked = set()
+        for command, sub in build_parser()._subparsers._group_actions[0].choices.items():
+            for action in sub._actions:
+                if action.dest in _FLAG_KEYS:
+                    assert action.default is None, (command, action.dest)
+                    checked.add(action.dest)
+        assert checked == set(_FLAG_KEYS)
+
+    def test_unread_flags_exit_one(self, cli_dataset, tmp_path, capsys):
+        inputs = ["--inputs", str(tmp_path / "r.json")]
+        for argv in (
+            ["synth", "--config", "c.json"],
+            ["report", *inputs, "--seed", "5"],
+            ["report", *inputs, "--config", "c.json"],
+            ["report", *inputs, "--schema", "s.json"],
+            ["report", *inputs, "--constraints", "c.txt"],
+            ["train", "--data", str(cli_dataset), "--constraints", "c.txt"],
+        ):
+            capsys.readouterr()
+            assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 1, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # `train` reads only data.csv and schema.json.
+        ds = tmp_path / "ds"
+        shutil.copytree(cli_dataset, ds)
+        (ds / "constraints.txt").unlink()
+        assert cli_main(
+            ["train", "--data", str(ds), "--epochs", "1", "--out", str(tmp_path / "m.json")]
+        ) == 0
+
+    def test_bad_cap_and_repeated_sweep_values_exit_one(
+        self, cli_dataset, cli_model, tmp_path, capsys
+    ):
+        common = ["--model", str(cli_model), "--data", str(cli_dataset),
+                  "--out", str(tmp_path / "out")]
+        for argv, message in (
+            (["attack", "--cap", "0"], "cap must be None or an integer >= 1, got 0"),
+            (["attack", "--cap", "-3"], "cap must be None or an integer >= 1, got -3"),
+            (["sweep", "--axis", "eps", "--values", "0.5,0.5", "--cap", "2"],
+             "sweep values must not repeat"),
+            (["sweep", "--axis", "gradient_iters", "--values", "5,5.0", "--cap", "2"],
+             "sweep values must not repeat"),
+        ):
+            capsys.readouterr()
+            assert cli_main([*argv, *common]) == 1, argv
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_commands_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"## Command line\s+```bash\n(.*?)```", readme, re.S).group(1)
@@ -427,7 +498,9 @@ class TestCli:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_malformed_report_and_model_exit_one(self, cli_dataset, tmp_path, capsys):
+    def test_malformed_report_and_model_exit_one(
+        self, cli_dataset, cli_model, tmp_path, capsys
+    ):
         entry = {"axis": "eps", "value": 0.5, "budget": {},
                  "robust_accuracy_constrained": 1.0, "robust_accuracy_unconstrained": 1.0,
                  "n_success_constrained": 0, "n_success_unconstrained": 0}
@@ -453,6 +526,9 @@ class TestCli:
         assert cli_main(["report", "--inputs", str(bad_report),
                          "--out", str(tmp_path / "lb.csv")]) == 0
         bad_model = tmp_path / "model.json"
+        # Trained checkpoint: 6 features, hidden (64, 32, 16).
+        trained = json.loads(cli_model.read_text())
+        scaler, weights, biases = trained["scaler"], trained["weights"], trained["biases"]
         for payload, message in (
             ({"version": 1}, "model missing field 'n_features'"),
             ([], "model must be a JSON object, got list"),
@@ -462,6 +538,14 @@ class TestCli:
              "model field 'hidden' must be a list of integers"),
             ({"version": 1, "n_features": 3, "hidden": [], "weights": [], "biases": [],
               "scaler": {"min": [0.0]}}, "scaler missing field 'width'"),
+            ({**trained, "scaler": {**scaler, "width": scaler["width"][:3]}},
+             "model scaler fields 'min' and 'width' must have 6 entries"),
+            ({**trained, "weights": [weights[0][:4], *weights[1:]]},
+             "model field 'weights' must have shapes [(6, 64), (64, 32), (32, 16), (16, 2)]"),
+            ({**trained, "biases": biases[:-1]},
+             "model field 'biases' must have shapes [(64,), (32,), (16,), (2,)]"),
+            ({**trained, "scaler": {**scaler, "width": [0.0] * 6}},
+             "scaler field 'width' must be positive"),
         ):
             bad_model.write_text(json.dumps(payload))
             capsys.readouterr()

@@ -68,3 +68,8 @@ class TestSpecValidation:
     def test_too_few_rows(self):
         with pytest.raises(InfeasibleSpec):
             SyntheticSpec(n_rows=1)
+
+    def test_label_noise_finite_and_nonnegative(self):
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InfeasibleSpec, match="label_noise must be finite"):
+                SyntheticSpec(label_noise=noise)
