@@ -55,10 +55,6 @@ class AttackResult:
     samples: list[SampleResult]
     wall_time: float = 0.0
 
-    @property
-    def success_mask(self) -> np.ndarray:
-        return np.array([s.success for s in self.samples], dtype=bool)
-
     def success_indices(self) -> set[int]:
         return {s.row_index for s in self.samples if s.success}
 

@@ -54,6 +54,26 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def json_array(value, ndim: int, what: str) -> np.ndarray:
+    """The parsed JSON `value` as a float array: `ndim` levels of nested
+    lists, none ragged, of finite numbers (not bools or null); else a
+    DataError naming `what`."""
+
+    def numbers(v, depth: int) -> bool:
+        if depth == 0:
+            return is_number(v)
+        return isinstance(v, list) and all(numbers(e, depth - 1) for e in v)
+
+    try:
+        a = np.array(value, dtype=float) if numbers(value, ndim) else None
+    except (ValueError, OverflowError):  # ragged, or an int past float's range
+        a = None
+    if a is None or not np.all(np.isfinite(a)):
+        lists = "a list of " + "equal-length lists of " * (ndim - 1)
+        raise DataError(f"{what} must be {lists}finite numbers")
+    return a
+
+
 @dataclass(frozen=True)
 class FeatureMetadata:
     name: str
@@ -160,15 +180,6 @@ class DatasetSchema:
             if 0 <= idx < self.n_features:
                 return idx
         raise KeyError(name)
-
-    def onehot_groups(self) -> dict[Union[int, str], list[int]]:
-        cols = np.split(self.group_cols, np.cumsum(self.group_sizes))
-        return {key: c.tolist() for key, c in zip(self.group_keys, cols)}
-
-    def column_slots(self) -> list[np.ndarray]:
-        """Column groups that change together: each one-hot group whole,
-        every other column alone, ordered by first column."""
-        return np.split(self.slot_cols, np.cumsum(self.slot_sizes))[:-1]
 
     @classmethod
     def generic(cls, n_features: int) -> "DatasetSchema":
@@ -327,63 +338,46 @@ def save_dataset(
             writer.writerow([repr(float(v)) for v in x] + [int(label)])
 
 
+@dataclass(frozen=True, eq=False)
 class MinMaxScaler:
-    """Per-feature linear map to [0, 1].
+    """Per-feature linear map to [0, 1]: `(X - min_) / width_`.
 
-    Constant features (zero width) map to 0; the width is clamped to 1
-    so transform/inverse stay finite.
+    Built from finite bounds (`from_bounds`, `from_schema`) or a saved
+    checkpoint (`from_dict`). Constant features (zero width) map to 0;
+    the width is clamped to 1 so transform/inverse stay finite.
     """
 
-    def __init__(self):
-        self.min_: Optional[np.ndarray] = None
-        self.width_: Optional[np.ndarray] = None
+    min_: np.ndarray
+    width_: np.ndarray
 
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=float)
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        return self.fit_bounds(lo, hi)
-
-    def fit_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "MinMaxScaler":
+    @classmethod
+    def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "MinMaxScaler":
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise DataError("scaler bounds must be finite")
         if np.any(hi < lo):
             raise DataError("scaler bounds must satisfy min <= max")
-        self.min_ = lo
         width = hi - lo
-        self.width_ = np.where(width > 0, width, 1.0)
-        return self
+        return cls(lo, np.where(width > 0, width, 1.0))
 
     @classmethod
     def from_schema(cls, schema: DatasetSchema) -> "MinMaxScaler":
-        return cls().fit_bounds(schema.lo, schema.hi)
-
-    def _check(self) -> None:
-        if self.min_ is None:
-            raise DataError("scaler used before fit")
+        return cls.from_bounds(schema.lo, schema.hi)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        self._check()
         return (np.asarray(X, dtype=float) - self.min_) / self.width_
 
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
-        self._check()
         return np.asarray(Z, dtype=float) * self.width_ + self.min_
 
     def to_dict(self) -> dict:
-        self._check()
         return {"min": self.min_.tolist(), "width": self.width_.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        s = cls()
-        s.min_ = np.array(json_field(d, "min", list, "scaler"), dtype=float)
-        s.width_ = np.array(json_field(d, "width", list, "scaler"), dtype=float)
-        for key, v in (("min", s.min_), ("width", s.width_)):
-            if v.ndim != 1 or not np.all(np.isfinite(v)):
-                raise DataError(f"scaler field {key!r} must be a list of finite numbers")
-        if np.any(s.width_ <= 0):
+        min_, width = (json_array(json_field(d, k, list, "scaler"), 1, f"scaler field {k!r}")
+                       for k in ("min", "width"))
+        if np.any(width <= 0):
             raise DataError("scaler field 'width' must be positive")
-        return s
+        return cls(min_, width)

@@ -21,15 +21,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, fits_schema, load_dataset
+from .data import Dataset, DatasetSchema, fits_schema
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
@@ -130,24 +128,6 @@ def augment_dataset(
     return Dataset(
         np.vstack([dataset.X, X_new[:target]]), np.concatenate([dataset.y, y_new[:target]])
     )
-
-
-def import_augmented_rows(
-    csv_path: Union[str, Path],
-    schema_path: Union[str, Path],
-    cs: ConstraintSet,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-) -> tuple[Dataset, int]:
-    """Load externally generated rows, dropping any that fail check().
-
-    Returns (accepted rows, rejected count).
-    """
-    dataset, _ = load_dataset(csv_path, schema_path)
-    ok = check(cs, dataset.X, cfg)
-    n_rejected = int((~ok).sum())
-    if n_rejected:
-        logger.warning("rejected %d augmented rows failing constraints", n_rejected)
-    return Dataset(dataset.X[ok], dataset.y[ok]), n_rejected
 
 
 def adversarial_train(

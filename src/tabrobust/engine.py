@@ -179,15 +179,6 @@ def _walk(cs: ConstraintSet, X: np.ndarray, cfg: PenaltyConfig, grad=None) -> np
     return P
 
 
-def penalty_matrix(
-    cs: ConstraintSet,
-    X: np.ndarray,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-) -> np.ndarray:
-    """Per-row, per-constraint penalties, shape (n_rows, n_constraints)."""
-    return _walk(cs, _as_matrix(X)[0], cfg)
-
-
 def check(
     cs: ConstraintSet,
     X: np.ndarray,

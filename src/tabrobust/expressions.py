@@ -440,15 +440,6 @@ def compile_columns(node: _Node, columns: dict[int, np.ndarray], width: int):
     return node._compile(_Layout(columns, (width,)))
 
 
-def validate_features(node: Union[NumExpr, Constraint], n_features: int) -> None:
-    """Raise if the tree references features outside [0, n_features)."""
-    for idx in features_of(node):
-        if not 0 <= idx < n_features:
-            raise ValueError(
-                f"feature index {idx} out of range for {n_features} features"
-            )
-
-
 def _as_matrix(x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, is_number, json_field
+from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, is_number, json_array, json_field
 from .metrics import auc_score
 
 CHECKPOINT_VERSION = 1
@@ -58,6 +58,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch size positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # also false for NaN
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
 
@@ -175,17 +180,20 @@ class ReferenceModel:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         n_features = json_field(d, "n_features", int, "model")
+        if n_features < 1:
+            raise DataError(f"model field 'n_features' must be >= 1, got {n_features}")
         hidden = json_field(d, "hidden", list, "model")
-        if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
-            raise DataError(f"model field 'hidden' must be a list of integers, got {hidden!r}")
+        if not all(is_number(h, int) and h >= 1 for h in hidden):
+            raise DataError(f"model field 'hidden' must be a list of integers >= 1, got {hidden!r}")
         model = cls(n_features, hidden=tuple(hidden))
         scaler = json_field(d, "scaler", (dict, type(None)), "model")
         model.scaler = MinMaxScaler.from_dict(scaler) if scaler else None
         if scaler and not len(model.scaler.min_) == len(model.scaler.width_) == n_features:
             raise DataError(f"model scaler fields 'min' and 'width' must have {n_features} entries")
         # The freshly built model's layers give the shapes the file must have.
-        for key, layers in (("weights", model.weights), ("biases", model.biases)):
-            got = [np.array(a, dtype=float) for a in json_field(d, key, list, "model")]
+        for key, ndim, layers in (("weights", 2, model.weights), ("biases", 1, model.biases)):
+            got = [json_array(a, ndim, f"each layer of model field {key!r}")
+                   for a in json_field(d, key, list, "model")]
             want = [a.shape for a in layers]
             if [a.shape for a in got] != want:
                 raise DataError(f"model field {key!r} must have shapes {want}, "
@@ -228,16 +236,15 @@ def train(
     model: ReferenceModel,
     dataset: Dataset,
     cfg: TrainConfig,
-    schema: Optional[DatasetSchema] = None,
+    schema: DatasetSchema,
     batch_hook=None,
 ) -> tuple[ReferenceModel, TrainHistory]:
     """Fit the model; returns it with best-validation-AUC weights.
 
-    The scaler comes from schema bounds when a schema is given (so the
-    attack's [0, 1] box coincides with the declared feature bounds),
-    otherwise it is fitted on the training split. `batch_hook(Zb, yb,
-    epoch) -> Zb` lets callers rewrite each training batch in scaled
-    space; adversarial training plugs in here.
+    A model without a scaler gets the schema's, so the attack's [0, 1]
+    box is the declared feature bounds. `batch_hook(Zb, yb, epoch) -> Zb`
+    lets callers rewrite each training batch in scaled space;
+    adversarial training plugs in here.
     """
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = stratified_split(dataset.y, cfg.validation_fraction, rng)
@@ -245,10 +252,7 @@ def train(
     X_val, y_val = dataset.X[val_idx], dataset.y[val_idx]
 
     if model.scaler is None:
-        if schema is not None:
-            model.scaler = MinMaxScaler.from_schema(schema)
-        else:
-            model.scaler = MinMaxScaler().fit(X_train)
+        model.scaler = MinMaxScaler.from_schema(schema)
     Z_train = model.scaler.transform(X_train)
     Z_val = model.scaler.transform(X_val)
 

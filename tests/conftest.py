@@ -1,6 +1,6 @@
 """Shared test helpers: random constraint trees, finite-difference
-oracles, kink-distance rejection sampling, and a small trained
-benchmark fixture."""
+oracles, kink-distance rejection sampling, a schema's one-hot groups
+and slots as column lists, and a small trained benchmark fixture."""
 
 from __future__ import annotations
 
@@ -31,6 +31,17 @@ from tabrobust.expressions import (
 # Denominators must sit well away from zero: the finite-difference
 # oracle's truncation error for 1/u grows like 1/u^4.
 MIN_DENOMINATOR = 0.05
+
+
+def onehot_groups(schema) -> list[np.ndarray]:
+    """Each one-hot group's columns, read from the schema's layout arrays."""
+    return np.split(schema.group_cols, np.cumsum(schema.group_sizes))[: len(schema.group_sizes)]
+
+
+def column_slots(schema) -> list[np.ndarray]:
+    """Each slot's columns (a one-hot group whole, any other column
+    alone), read from the schema's layout arrays."""
+    return np.split(schema.slot_cols, np.cumsum(schema.slot_sizes))[:-1]
 
 
 def finite_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import reference_mutate
+from conftest import column_slots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,7 +233,7 @@ def linear_model(w, b, scaler):
 def identity_scaler(n):
     lo = np.zeros(n)
     hi = np.ones(n)
-    return MinMaxScaler().fit_bounds(lo, hi)
+    return MinMaxScaler.from_bounds(lo, hi)
 
 
 class TestCapgd:
@@ -426,7 +427,7 @@ class TestCrossover:
             FeatureMetadata("x4", "integer", 0, 9),
         ])
         mutable = schema.mutable
-        slots = [c for c in schema.column_slots() if mutable[c].all()]
+        slots = [c for c in column_slots(schema) if mutable[c].all()]
         assert len(slots) == 5
         # The gene slots of the schema, of it with only the first slot
         # mutable, and of it with none.
@@ -472,7 +473,7 @@ class TestMutation:
 
     def layout(self):
         mutable = self.schema.mutable
-        slots = [c for c in self.schema.column_slots() if mutable[c].all()]
+        slots = [c for c in column_slots(self.schema) if mutable[c].all()]
         return slots, slot_layout(self.schema)
 
     def marked(self, seed):
@@ -802,7 +803,7 @@ class TestCaa:
         grad_ok = grad.misclassified & validity_mask(
             schema, model.scaler, cs, Z, grad.candidates, budget, cfg
         )
-        assert np.array_equal(ens.success_mask, grad_ok)
+        assert [s.success for s in ens.samples] == grad_ok.tolist()
         for i, s in enumerate(ens.samples):
             expected = grad.candidates[i] if grad_ok[i] else Z[i]
             assert np.array_equal(s.candidate, expected)
@@ -815,7 +816,7 @@ class TestCaa:
         Z = model.scaler.transform(dataset.X[idx])
         result = caa(model, cs, Z, dataset.y[idx], budget, schema, cfg,
                      row_indices=idx)
-        assert result.success_mask.sum() >= 1
+        assert result.success_indices()
         for i, s in enumerate(result.samples):
             if s.success:
                 ok = validity_mask(

@@ -62,7 +62,8 @@ class TestSchema:
                 FeatureMetadata("c_b", "categorical", 0, 1, onehot_group="color"),
             ]
         )
-        assert schema.onehot_groups() == {"color": [1, 2]}
+        assert schema.group_keys == ("color",)
+        assert schema.group_cols.tolist() == [1, 2] and schema.group_sizes.tolist() == [2]
 
     def test_min_above_max_rejected(self):
         with pytest.raises(DataError, match="min"):
@@ -289,24 +290,20 @@ class TestLoadDataset:
 
 class TestScaler:
     def test_midpoint_maps_to_half(self):
-        s = MinMaxScaler().fit(np.array([[0.0], [10.0]]))
+        s = MinMaxScaler.from_bounds([0.0], [10.0])
         assert s.transform(np.array([[5.0]]))[0, 0] == 0.5
 
     def test_constant_feature_maps_to_zero(self):
-        s = MinMaxScaler().fit(np.array([[2.0], [2.0]]))
+        s = MinMaxScaler.from_bounds([2.0], [2.0])
         assert s.transform(np.array([[2.0]]))[0, 0] == 0.0
         assert s.inverse_transform(np.array([[0.0]]))[0, 0] == 2.0
 
     def test_round_trip_within_1e9(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(-100, 100, (50, 4))
-        s = MinMaxScaler().fit(X)
+        s = MinMaxScaler.from_bounds(X.min(axis=0), X.max(axis=0))
         back = s.inverse_transform(s.transform(X))
         assert np.max(np.abs(back - X)) <= 1e-9
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(DataError, match="before fit"):
-            MinMaxScaler().transform(np.zeros((1, 2)))
 
     def test_from_schema_bounds(self):
         s = MinMaxScaler.from_schema(small_schema())
@@ -317,9 +314,11 @@ class TestScaler:
     def test_non_finite_bounds_rejected(self, lo, hi):
         # An infinite width would map every value to NaN.
         with pytest.raises(DataError, match="finite"):
-            MinMaxScaler().fit_bounds([0.0, lo], [1.0, hi])
-        with pytest.raises(DataError, match="finite"):
-            MinMaxScaler().fit(np.array([[0.0, lo], [1.0, hi]]))
+            MinMaxScaler.from_bounds([0.0, lo], [1.0, hi])
+
+    def test_bounds_out_of_order_rejected(self):
+        with pytest.raises(DataError, match="min <= max"):
+            MinMaxScaler.from_bounds([0.0, 2.0], [1.0, 1.0])
 
     def test_infinite_schema_bounds_rejected(self):
         with pytest.raises(DataError, match="finite"):

@@ -10,7 +10,6 @@ from tabrobust.data import (
     DatasetSchema,
     FeatureMetadata,
     fits_schema,
-    save_dataset,
     validate_against_schema,
 )
 from tabrobust.defense import (
@@ -19,7 +18,6 @@ from tabrobust.defense import (
     adversarial_train,
     augment_dataset,
     cutmix_tabular,
-    import_augmented_rows,
 )
 from tabrobust.engine import PenaltyConfig, assignment_fix_rules, check, fix
 from tabrobust.expressions import ConstraintSet
@@ -208,23 +206,6 @@ class TestCutmix:
     def test_ratio_must_be_finite_and_nonnegative(self, ratio):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             AugmentConfig(ratio=ratio)
-
-
-class TestImportAugmented:
-    def test_rejects_invalid_rows(self, bench, tmp_path):
-        dataset, schema, cs = bench
-        X = dataset.X[:10].copy()
-        X[3, 0] += 3.0  # break F0 == F1 + F2
-        X[7, 0] += 3.0
-        bad = Dataset(X, dataset.y[:10])
-        save_dataset(bad, schema, tmp_path / "rows.csv")
-        schema.save(tmp_path / "schema.json")
-        accepted, n_rejected = import_augmented_rows(
-            tmp_path / "rows.csv", tmp_path / "schema.json", cs
-        )
-        assert n_rejected == 2
-        assert accepted.n_rows == 8
-        assert check(cs, accepted.X, PenaltyConfig()).all()
 
 
 class TestAdversarialTrain:

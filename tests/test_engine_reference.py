@@ -50,7 +50,7 @@ def assert_engines_agree(cs, rules, X):
         for cfg in CONFIGS:
             with np.errstate(all="ignore"):
                 pairs = [
-                    (ref.penalty_matrix(cs, x, cfg), engine.penalty_matrix(cs, x, cfg)),
+                    (ref.penalty_matrix(cs, x, cfg), engine._walk(cs, np.atleast_2d(x), cfg)),
                     (ref.total_penalty(cs, x, cfg), engine.total_penalty(cs, x, cfg)),
                     *zip(
                         ref.total_penalty_with_gradient(cs, x, cfg),

@@ -25,7 +25,6 @@ from tabrobust.expressions import (
     eval_with_gradient,
     evaluate_expr,
     features_of,
-    validate_features,
 )
 
 
@@ -72,10 +71,6 @@ class TestFeaturesOf:
     def test_deep_tree(self):
         expr = Max((Sub(Feature(0), Feature(3)), Log(Feature(5))))
         assert features_of(expr) == {0, 3, 5}
-
-    def test_validate_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            validate_features(Feature(7), 3)
 
     def test_perturbing_referenced_feature_changes_value(self):
         # Spot check: every reported feature actually influences the

@@ -68,7 +68,7 @@ class TestRobustAccuracy:
         ra, result = robust_accuracy(
             model, cs, dataset, schema, BUDGET, indices=idx
         )
-        n_success = result.success_mask.sum()
+        n_success = sum(s.success for s in result.samples)
         assert ra == 1.0 - n_success / len(idx)
         assert 0.0 <= ra <= 1.0
 
@@ -382,6 +382,8 @@ class TestCli:
             ("train", '{"epochs": "5"}', "epochs must be an integer"),
             ("train", '{"epochs": 1.5}', "epochs must be an integer"),
             ("advtrain", '{"batch_size": 0.5}', "batch_size must be an integer"),
+            ("train", '{"adam_eps": 0.0}', "adam_eps must be finite and positive"),
+            ("train", '{"adam_beta1": 1.5}', "adam_beta1 must be in [0, 1)"),
         ):
             config.write_text(text)
             capsys.readouterr()
@@ -529,6 +531,12 @@ class TestCli:
         # Trained checkpoint: 6 features, hidden (64, 32, 16).
         trained = json.loads(cli_model.read_text())
         scaler, weights, biases = trained["scaler"], trained["weights"], trained["biases"]
+
+        def first_row(row):  # the weights with the first layer's first row replaced
+            return [[row, *weights[0][1:]], *weights[1:]]
+
+        bad_weights = ("each layer of model field 'weights' must be a list of equal-length "
+                       "lists of finite numbers")
         for payload, message in (
             ({"version": 1}, "model missing field 'n_features'"),
             ([], "model must be a JSON object, got list"),
@@ -546,6 +554,13 @@ class TestCli:
              "model field 'biases' must have shapes [(64,), (32,), (16,), (2,)]"),
             ({**trained, "scaler": {**scaler, "width": [0.0] * 6}},
              "scaler field 'width' must be positive"),
+            ({**trained, "weights": first_row(weights[0][0][:-1])}, bad_weights),
+            ({**trained, "weights": first_row(["x", *weights[0][0][1:]])}, bad_weights),
+            ({**trained, "weights": first_row([None, *weights[0][0][1:]])}, bad_weights),
+            ({**trained, "biases": [*biases[:-1], [float("inf"), 0.0]]},
+             "each layer of model field 'biases' must be a list of finite numbers"),
+            ({**trained, "hidden": [-4]}, "model field 'hidden' must be a list of integers >= 1"),
+            ({**trained, "n_features": -3}, "model field 'n_features' must be >= 1, got -3"),
         ):
             bad_model.write_text(json.dumps(payload))
             capsys.readouterr()

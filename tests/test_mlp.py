@@ -208,6 +208,11 @@ class TestTrainConfig:
         ({"learning_rate": "0.01"}, "learning_rate must be a real number"),
         ({"adam_beta1": None}, "adam_beta1 must be a real number"),
         ({"validation_fraction": "0.2"}, "validation_fraction must be a real number"),
+        ({"adam_beta1": 1.0}, r"adam_beta1 must be in \[0, 1\)"),
+        ({"adam_beta1": -0.1}, r"adam_beta1 must be in \[0, 1\)"),
+        ({"adam_beta2": float("nan")}, r"adam_beta2 must be in \[0, 1\)"),
+        ({"adam_eps": 0.0}, "adam_eps must be finite and positive"),
+        ({"adam_eps": float("inf")}, "adam_eps must be finite and positive"),
     ])
     def test_field_types_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

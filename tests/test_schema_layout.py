@@ -7,6 +7,7 @@ that a schema's facts are built once and cannot be written."""
 import numpy as np
 import pytest
 import reference_schema
+from conftest import column_slots, onehot_groups
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +60,7 @@ def schemas(draw):
 def onehot_rows(schema, rng, n):
     """Scaled rows in the box with every one-hot group one-hot."""
     Z = rng.uniform(0.0, 1.0, (n, schema.n_features))
-    for cols in schema.onehot_groups().values():
+    for cols in onehot_groups(schema):
         Z[:, cols] = np.eye(len(cols))[rng.integers(0, len(cols), n)]
     return Z
 
@@ -70,7 +71,7 @@ def perturb(schema, rng, Z):
     n, d = Z.shape
     C = Z + rng.normal(0.0, rng.choice([0.0, 0.05, 0.5]), (n, d))
     tied = rng.random(n) < 1 / 3
-    for cols in schema.onehot_groups().values():
+    for cols in onehot_groups(schema):
         C[np.ix_(tied, cols)] = rng.choice([0.0, 0.5, 1.0], (tied.sum(), len(cols)))
     near = rng.random(n) < 0.2
     cols = schema.group_cols
@@ -85,7 +86,7 @@ def scalers(schema, rng):
     lo, hi = schema.lo, schema.hi
     widths = np.where(rng.random(len(lo)) < 0.5, hi - lo, rng.uniform(0.5, 3.0, len(lo)))
     yield MinMaxScaler.from_schema(schema)
-    yield MinMaxScaler().fit_bounds(lo - rng.uniform(0, 1, len(lo)), lo + widths)
+    yield MinMaxScaler.from_bounds(lo - rng.uniform(0, 1, len(lo)), lo + widths)
 
 
 def same_bits(a, b):
@@ -144,7 +145,7 @@ def raw_rows(schema, rng, n):
     near = rng.random(n) < 0.3
     eps = rng.uniform(0.0, 4e-10, (near.sum(), len(cols)))
     X[np.ix_(near, cols)] = np.abs(X[np.ix_(near, cols)] - eps)
-    groups = list(schema.onehot_groups().values())
+    groups = onehot_groups(schema)
     for _ in range(rng.integers(0, 4)):
         i, j = rng.integers(n), rng.integers(schema.n_features)
         how = rng.integers(4)
@@ -176,8 +177,10 @@ def test_validate_against_schema_matches_reference(schema, n, seed):
 @settings(max_examples=100, deadline=None)
 @given(schemas(), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_layout_matches_reference(schema, n, seed):
-    assert schema.onehot_groups() == reference_schema.onehot_groups(schema)
-    slots, ref = schema.column_slots(), reference_schema.column_slots(schema)
+    ref_groups = reference_schema.onehot_groups(schema)
+    assert schema.group_keys == tuple(ref_groups)
+    assert [c.tolist() for c in onehot_groups(schema)] == list(ref_groups.values())
+    slots, ref = column_slots(schema), reference_schema.column_slots(schema)
     assert len(slots) == len(ref)
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(slots, ref))
     # Group sums and argmaxes, bit for bit against one group at a time.
@@ -252,7 +255,7 @@ def test_facts_are_built_once():
 
 def test_cached_arrays_are_read_only():
     schema, _, _ = guarded_setup()
-    arrays = [schema.lo, schema.hi, schema.mutable, schema.integer, *schema.column_slots()]
+    arrays = [schema.lo, schema.hi, schema.mutable, schema.integer, *column_slots(schema)]
     arrays += [v for v in vars(schema).values() if isinstance(v, np.ndarray)]
     arrays += list(schema._blocks)
     assert len(arrays) >= 20

@@ -1,0 +1,47 @@
+"""Every public function, class and method under src/tabrobust/ has a reader.
+
+A public name must be named in src/, bench/ or tests/test_acceptance.py
+outside its own definition: as a name, an attribute, an import, or a
+string that is exactly the name (bench/tracing.py looks call sites up by
+string). A name only other tests reach is surface nothing needs.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tabrobust").rglob("*.py"))
+READERS = [*SOURCES, *sorted((ROOT / "bench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+# The derivative counterpart of `evaluate_expr`, which bench/wide.py calls;
+# deleting it would only move its body into the tests of expression gradients.
+EXCEPTIONS = {"eval_with_gradient"}
+
+
+def _public_defs(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (m.name for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _named(node: ast.AST, inside: frozenset = frozenset()):
+    """Names read under `node`, skipping a definition's reads of itself."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+                 node.name if isinstance(node, ast.alias) else None):
+        if isinstance(name, str) and name not in inside:
+            yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _named(child, inside)
+
+
+def test_every_public_name_has_a_reader():
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    defined = {name for path in SOURCES for name in _public_defs(trees[path])}
+    read = {name for tree in trees.values() for name in _named(tree)}
+    unread = sorted(defined - read - EXCEPTIONS)
+    assert not unread, f"public names nothing outside the tests reads: {unread}"
