@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
         last = history.epochs[-1]
         print(
             f"trained {cfg.epochs} epochs; val AUC best={history.best_val_auc:.4f} "
-            f"last={last.val_auc:.4f}; saved {out}"
+            f"(epoch {history.best_epoch}) last={last.val_auc:.4f}; saved {out}"
         )
     else:
         print(f"saved untrained model to {out}")
@@ -220,7 +220,7 @@ def cmd_advtrain(args) -> int:
     model.save(out)
     print(
         f"adversarially trained {cfg.epochs} epochs (inner eps={inner.eps}); "
-        f"val AUC best={history.best_val_auc:.4f}; saved {out}"
+        f"val AUC best={history.best_val_auc:.4f} (epoch {history.best_epoch}); saved {out}"
     )
     return 0
 

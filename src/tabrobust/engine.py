@@ -310,9 +310,7 @@ def fix(
     return out[0] if single else out
 
 
-def assignment_fix_rules(
-    cs: ConstraintSet, mutable_mask: Union[np.ndarray, None] = None
-) -> FixRules:
+def assignment_fix_rules(cs: ConstraintSet, mutable_mask: np.ndarray) -> FixRules:
     """Derive guard==fix rules from assignment-form equality constraints.
 
     Skips targets flagged immutable; other constraint shapes are not
@@ -320,7 +318,7 @@ def assignment_fix_rules(
     mask asked for are kept with the set's plan, planned for `fix`.
     """
     plan = _plan(cs)
-    mask = None if mutable_mask is None else np.asarray(mutable_mask, dtype=bool).tobytes()
+    mask = np.asarray(mutable_mask, dtype=bool).tobytes()
     if plan.fix_rules is None or plan.fix_rules[0] != mask:
         rules = tuple(
             FixRule(guard=c, fix=c)
@@ -328,7 +326,7 @@ def assignment_fix_rules(
             if isinstance(c, Relation) and c.op == "=="
             and isinstance(c.left, Feature)
             and c.left.index not in features_of(c.right)
-            and (mutable_mask is None or mutable_mask[c.left.index])
+            and mutable_mask[c.left.index]
         )
         plan.fix_rules = (mask, (rules, _plan_fix(rules)))
     planned = plan.fix_rules[1]

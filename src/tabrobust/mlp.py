@@ -124,33 +124,39 @@ class ReferenceModel:
         """Mean cross-entropy plus gradients w.r.t. weights, biases, input."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=int))
-        n = Z.shape[0]
         probs, acts = self._forward(Z)
         loss = float(np.mean(cross_entropy(probs, y)))
-
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        grad_input = delta @ self.weights[0].T if self.weights else delta
-        return loss, grads_w, grads_b, grad_input
+        return (loss, *self._backward(probs, acts, y, with_params=True))
 
     def input_gradient(self, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d(mean cross-entropy)/dZ in scaled space, per row.
 
         Per-row gradients are returned unaveraged, i.e. each row is the
-        gradient of its own sample's loss.
+        gradient of its own sample's loss. No parameter gradient is built.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        n = Z.shape[0]
-        _, _, _, g = self.loss_and_gradients(Z, y)
-        return g * n
+        y = np.atleast_1d(np.asarray(y, dtype=int))
+        probs, acts = self._forward(Z)
+        return self._backward(probs, acts, y, with_params=False)[2] * Z.shape[0]
+
+    def _backward(
+        self, probs: np.ndarray, acts: list[np.ndarray], y: np.ndarray, with_params: bool
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """(weight, bias, input) gradients of the mean cross-entropy; the
+        parameter lists stay empty unless `with_params`."""
+        n = len(probs)
+        delta = probs.copy()
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+        grads_w: list[np.ndarray] = []
+        grads_b: list[np.ndarray] = []
+        for i in range(len(self.weights) - 1, -1, -1):
+            if with_params:
+                grads_w.insert(0, acts[i].T @ delta)
+                grads_b.insert(0, delta.sum(axis=0))
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
+        return grads_w, grads_b, delta @ self.weights[0].T
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -239,7 +245,8 @@ def train(
     schema: DatasetSchema,
     batch_hook=None,
 ) -> tuple[ReferenceModel, TrainHistory]:
-    """Fit the model; returns it with best-validation-AUC weights.
+    """Fit the model; returns it with best-validation-AUC weights in new
+    arrays. The weight and bias arrays it held before are not written.
 
     A model without a scaler gets the schema's, so the attack's [0, 1]
     box is the declared feature bounds. `batch_hook(Zb, yb, epoch) -> Zb`
@@ -264,8 +271,17 @@ def train(
     best_auc = -np.inf
     best_loss = np.inf
 
-    m_state = [np.zeros_like(p) for p in model.get_params()]
-    v_state = [np.zeros_like(p) for p in model.get_params()]
+    # Adam updates one flat vector that the weight and bias lists view,
+    # in that order; the gradients are gathered into `g` in the same order.
+    layers = model.weights + model.biases
+    flat = np.concatenate([p.ravel() for p in layers])
+    parts = np.split(flat, np.cumsum([p.size for p in layers])[:-1])
+    views = [part.reshape(p.shape) for part, p in zip(parts, layers)]
+    k = len(model.weights)
+    model.weights, model.biases = views[:k], views[k:]
+    g = np.empty_like(flat)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     step = 0
 
     for epoch in range(cfg.epochs):
@@ -281,17 +297,15 @@ def train(
                     f"non-finite training loss at epoch {epoch}, step {step}"
                 )
             step += 1
-            params = model.weights + model.biases
-            grads = gw + gb
+            np.concatenate([a.ravel() for a in gw + gb], out=g)
             lr_t = cfg.learning_rate * np.sqrt(
                 1.0 - cfg.adam_beta2**step
             ) / (1.0 - cfg.adam_beta1**step)
-            for p, g, m, v in zip(params, grads, m_state, v_state):
-                m *= cfg.adam_beta1
-                m += (1.0 - cfg.adam_beta1) * g
-                v *= cfg.adam_beta2
-                v += (1.0 - cfg.adam_beta2) * g * g
-                p -= lr_t * m / (np.sqrt(v) + cfg.adam_eps)
+            m *= cfg.adam_beta1
+            m += (1.0 - cfg.adam_beta1) * g
+            v *= cfg.adam_beta2
+            v += (1.0 - cfg.adam_beta2) * g * g
+            flat -= lr_t * m / (np.sqrt(v) + cfg.adam_eps)
 
         val_probs = model.predict_proba_scaled(Z_val)
         stats = EpochStats(
@@ -309,6 +323,5 @@ def train(
             history.best_epoch = epoch
             history.best_val_auc = stats.val_auc
 
-    if cfg.epochs > 0:
-        model.set_params(best_params)
+    model.set_params(best_params)
     return model, history

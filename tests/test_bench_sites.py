@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tabrobust import mlp
 from tabrobust.attacks import AttackBudget, caa
 from tabrobust.harness import select_attack_set
 
@@ -29,8 +30,9 @@ def test_every_traced_call_site_resolves(tracing):
         assert callable(found), f"{site.module}.{site.attr} does not exist"
 
 
-def traced_caa(tracing, small_bench):
-    """(tracer, result) of one `caa` run under the bench's wrappers."""
+def traced_caa(tracing, small_bench, fit=False):
+    """(tracer, result) of one `caa` run under the bench's wrappers,
+    after a 1-epoch `mlp.train` if `fit`."""
     model, dataset, schema, cs = small_bench
     budget = AttackBudget(eps=0.5, n_gen=4, n_pop=20, n_off=12, seed=3)
     idx = select_attack_set(model, dataset, schema, cap=12, seed=3)
@@ -38,6 +40,9 @@ def traced_caa(tracing, small_bench):
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        if fit:
+            mlp.train(mlp.ReferenceModel(schema.n_features, seed=3), dataset,
+                      mlp.TrainConfig(epochs=1, seed=3), schema)
         result = caa(model, cs, Z, dataset.y[idx], budget, schema, row_indices=idx)
     finally:
         tracer.uninstall()
@@ -63,3 +68,15 @@ def test_every_attack_site_fires(tracing, small_bench):
     silent = [f"{tracing.SITES[i].module}.{tracing.SITES[i].attr}"
               for i in attack_sites if i not in tracer.fired]
     assert not silent
+
+
+def test_every_model_site_fires(tracing, small_bench):
+    # Training and one attack make every model call the bench wraps; a
+    # renamed one would otherwise show only in the slow traced run.
+    tracer, _ = traced_caa(tracing, small_bench, fit=True)
+    model_sites = {s.attr: i for i, s in enumerate(tracing.SITES) if s.module == "tabrobust.mlp"}
+    assert set(model_sites) == {
+        "train", "ReferenceModel.loss_and_gradients", "ReferenceModel.input_gradient",
+        "ReferenceModel.predict_proba_scaled",
+    }
+    assert not [attr for attr, i in model_sites.items() if i not in tracer.fired]

@@ -167,7 +167,7 @@ class TestFix:
 
     def test_assignment_rules_derived_from_set(self):
         cs = ConstraintSet([c("F0 == F1 + F2"), c("F1 <= F2")])
-        rules = assignment_fix_rules(cs)
+        rules = assignment_fix_rules(cs, np.ones(5, dtype=bool))
         assert len(rules) == 1 and rules[0].target == 0
         mutable = np.array([False, True, True, True, True])
         assert assignment_fix_rules(cs, mutable) == []

@@ -184,14 +184,15 @@ def test_wide_set_matches_reference(wide):
     X = off_bounds(wide)
     with np.errstate(all="ignore"):
         assert np.isnan(ref.total_penalty(cs, X)).any()
+    every = np.ones(schema.n_features, dtype=bool)
     for rules in (engine.assignment_fix_rules(cs, schema.mutable),
-                  engine.assignment_fix_rules(cs)):
+                  engine.assignment_fix_rules(cs, every)):
         # 16 rows: as many as each group has members.
         for n in (300, 16, 2):
             assert_engines_agree(cs, rules, X[:n])
     # A single-row batch and every row alone on the way to cutmix's calls.
     for x in X[:8]:
-        assert_engines_agree(cs, engine.assignment_fix_rules(cs), x[None, :])
+        assert_engines_agree(cs, engine.assignment_fix_rules(cs, every), x[None, :])
 
 
 def test_wide_totals_agree(wide):

@@ -278,6 +278,10 @@ class TestCli:
              "--seed", "1", "--out", str(model_path)]
         )
         assert code == 0 and model_path.exists()
+        # The saved weights are the best epoch's, and the line says which.
+        best = re.search(r"val AUC best=\d\.\d{4} \(epoch (\d+)\) last=",
+                         capsys.readouterr().out)
+        assert best and 0 <= int(best.group(1)) < 8
 
         report_path = tmp_path / "report.json"
         code = cli_main(
@@ -625,7 +629,7 @@ class TestCli:
         values = [float(line.split(",")[ra_col]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
 
-    def test_advtrain_happy_path(self, cli_dataset, tmp_path):
+    def test_advtrain_happy_path(self, cli_dataset, tmp_path, capsys):
         model_path = tmp_path / "model_at.json"
         code = cli_main(
             ["advtrain", "--data", str(cli_dataset), "--epochs", "3",
@@ -633,3 +637,6 @@ class TestCli:
              "--out", str(model_path)]
         )
         assert code == 0 and model_path.exists()
+        best = re.search(r"val AUC best=\d\.\d{4} \(epoch (\d+)\); saved",
+                         capsys.readouterr().out)
+        assert best and 0 <= int(best.group(1)) < 3
