@@ -131,7 +131,7 @@ def capgd(
         eligible = changed & in_ball & in_box
         if not np.any(eligible):
             return
-        pen_f = np.atleast_1d(total_penalty(cs, scaler.inverse_transform(z_fixed), cfg))
+        pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed), cfg)
         mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
         key_f = candidate_key(mis_f, pen_f, dist_f)
         better = _lex_less(key_f, best_key) & eligible

@@ -206,10 +206,11 @@ def moeva(
     budget: AttackBudget,
     schema: DatasetSchema,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-    row_seed: Optional[int] = None,
+    *,
+    row_seed: int,
 ) -> SearchAttackOutput:
-    """Attack one scaled row; `row_seed` overrides the budget seed for
-    per-row stream derivation.
+    """Attack one scaled row; the random stream derives from the budget
+    seed and `row_seed` (the row's dataset index).
 
     Runs at most `budget.n_gen` generations and stops after the first
     one (or the seed population) that leaves a validated success as the
@@ -218,9 +219,7 @@ def moeva(
     z0 = np.asarray(z, dtype=float).ravel()
     d = z0.shape[0]
     scaler = model.scaler
-    rng = np.random.default_rng(
-        np.random.SeedSequence([budget.seed, 0 if row_seed is None else row_seed])
-    )
+    rng = np.random.default_rng(np.random.SeedSequence([budget.seed, row_seed]))
 
     layout = slot_layout(schema)
     rules = assignment_fix_rules(cs, schema.mutable)
@@ -240,7 +239,7 @@ def moeva(
         f1 = probs[:, y]
         f2 = distance(pop, np.broadcast_to(z0, pop.shape), budget.norm)
         f3 = total_penalty(cs, scaler.inverse_transform(pop), cfg)
-        F = np.stack([f1, np.atleast_1d(f2), np.atleast_1d(f3)], axis=1)
+        F = np.stack([f1, f2, f3], axis=1)
         return F, probs.argmax(axis=1) != y
 
     # Seed population: the original plus uniform perturbations of

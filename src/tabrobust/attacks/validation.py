@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import DatasetSchema, MinMaxScaler
+from ..data import DatasetSchema, MinMaxScaler, fits_schema
 from ..engine import PenaltyConfig, check
 from ..expressions import ConstraintSet
 from .budget import AttackBudget
 from .projection import distance
 
 DISTANCE_SLACK = 1e-9
+BOUNDS_SLACK = 1e-9  # raw feature units
 
 
 def validity_mask(
@@ -43,10 +44,7 @@ def validity_mask(
     ok &= np.all(Z_cand[:, schema.immutable] == Z_orig[:, schema.immutable], axis=1)
 
     raw = scaler.inverse_transform(Z_cand)
-    typed = raw[:, schema.typed]
-    ok &= np.all(np.abs(typed - np.round(typed)) <= 1e-9, axis=1)
-    ok &= np.all(np.abs(schema.per_group(raw, np.sum) - 1.0) <= 1e-9, axis=1)
-    ok &= np.all((raw >= schema.lo - 1e-9) & (raw <= schema.hi + 1e-9), axis=1)
+    ok &= fits_schema(raw, schema, BOUNDS_SLACK)
 
     if include_constraints:
         ok &= check(cs, raw, cfg)

@@ -243,21 +243,26 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _faults(X: np.ndarray, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _faults(
+    X: np.ndarray, schema: DatasetSchema, slack: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The schema's per-cell rules over X: bad[row, column, (bounds,
-    integrality)], with NaN out of bounds, and each one-hot group's sums
-    with whether they are off one."""
+    integrality)], with bounds widened by `slack` and NaN out of bounds,
+    and each one-hot group's sums with whether they are off one. A NaN
+    or infinite value is never integral, and a NaN sum is off one."""
     bad = np.zeros(X.shape + (2,), dtype=bool)
-    bad[:, :, 0] = ~((X >= schema.lo) & (X <= schema.hi))
+    bad[:, :, 0] = ~((X >= schema.lo - slack) & (X <= schema.hi + slack))
     typed = X[:, schema.typed]
-    bad[:, schema.typed, 1] = np.abs(typed - np.round(typed)) > 1e-9
+    bad[:, schema.typed, 1] = ~(np.abs(typed - np.round(typed)) <= 1e-9)
     sums = schema.per_group(X, np.sum)
-    return bad, sums, np.abs(sums - 1.0) > 1e-9
+    return bad, sums, ~(np.abs(sums - 1.0) <= 1e-9)
 
 
-def fits_schema(X: np.ndarray, schema: DatasetSchema) -> np.ndarray:
-    """Row mask: True where `validate_against_schema` finds no fault."""
-    bad, _, off = _faults(X, schema)
+def fits_schema(X: np.ndarray, schema: DatasetSchema, slack: float) -> np.ndarray:
+    """Row mask: True where no value breaks the schema's integrality and
+    one-hot rules or its bounds widened by `slack`; at slack 0, where
+    `validate_against_schema` finds no fault."""
+    bad, _, off = _faults(X, schema, slack)
     return ~bad.any(axis=(1, 2)) & ~off.any(axis=1)
 
 
@@ -270,7 +275,7 @@ def validate_against_schema(X: np.ndarray, schema: DatasetSchema) -> None:
     """
     if X.shape[1] != schema.n_features:
         raise DataError(f"matrix has {X.shape[1]} columns, schema has {schema.n_features}")
-    bad, sums, off = _faults(X, schema)
+    bad, sums, off = _faults(X, schema, 0.0)
     first = np.flatnonzero(bad.any(axis=0))
     if first.size:
         j, integral = divmod(int(first[0]), 2)

@@ -93,7 +93,7 @@ def cutmix_tabular(
     if rules and bad.any():
         X_mix[bad] = fix(rules, X_mix[bad], cfg)
         ok[bad] = check(cs, X_mix[bad], cfg)
-    ok &= fits_schema(X_mix, schema)
+    ok &= fits_schema(X_mix, schema, 0.0)
     return X_mix[ok], y_mix[ok]
 
 

@@ -4,18 +4,22 @@ Every constraint maps to a nonnegative, continuous penalty that is zero
 exactly when the constraint holds (strict inequalities via a small
 margin). Conjunction adds penalties, disjunction and implication take
 the minimum branch, which keeps the whole thing piecewise-smooth and
-subgradient-friendly. Each constraint node is compiled once into a
-closure that returns its penalty and a reverse-mode backward step (see
+subgradient-friendly. Constraints compile into closures that return
+penalties and a reverse-mode backward step (see
 `tabrobust.expressions`); every function here runs those closures,
 vectorized over row-major matrices, with `PenaltyConfig.strict_margin`
-passed at call time.
+passed at call time. One constraint alone (`penalty`,
+`penalty_gradient`) is the set of that constraint.
 
 Real domains repeat a few constraint shapes over many feature groups,
 so a set is evaluated through a plan, built on first use and kept on
 the set until its constraints change. The plan groups constraints with
 equal `shape_key`s and compiles each group once over (rows, G) column
-blocks, so G constraints cost one closure call. Results are bit-
-identical to running the constraints one by one:
+blocks, G >= 1, so G constraints cost one closure call. A group's
+columns, and its positions in the penalty matrix, are a slice when
+they step evenly upward (a group of one always does) and an int array
+otherwise. Results are bit-identical to running the constraints one by
+one:
 
 - One walk over the plan's groups writes each group's columns of the
   (rows, constraints) penalty matrix back in constraint order, so
@@ -25,15 +29,13 @@ identical to running the constraints one by one:
 - Asked for a gradient, the walk runs each group's backward step as
   it goes, and every feature receives its gradient terms in the order
   of the one-by-one loop: the plan admits a constraint to a group only
-  if that holds, and leaves it a singleton otherwise.
+  if that holds, and starts a new group for it otherwise.
 - `fix` applies its rules in dependency levels: a rule goes one level
   above the last earlier rule that writes a feature it reads or
   writes, or reads its target. Rules of one level commute, so each
   level runs one fused call per rule shape and later rules still see
-  earlier fixes. `assignment_fix_rules` derives a set's rules once per
-  mutable mask and hands them out with that plan.
-
-Singleton groups run the constraint's own cached closure.
+  earlier fixes. A `FixRules` tuple is planned once, when it is built;
+  `assignment_fix_rules` keeps one per set and mutable mask.
 
 Constraints are evaluated in raw (unscaled) feature units; the default
 tolerance of 1e-2 absorbs float noise after unscaling.
@@ -55,6 +57,7 @@ from .expressions import (
     NumExpr,
     Relation,
     _as_matrix,
+    column_block,
     compile_columns,
     features_of,
     shape_key,
@@ -91,9 +94,7 @@ def penalty(
     Accepts a feature vector (returns a scalar) or an (n, d) matrix
     (returns a length-n array).
     """
-    X, single = _as_matrix(x)
-    val = c.compiled(X, cfg.strict_margin)[0]
-    return float(val[0]) if single else val
+    return total_penalty(ConstraintSet([c]), x, cfg)
 
 
 def penalty_gradient(
@@ -102,36 +103,26 @@ def penalty_gradient(
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> np.ndarray:
     """Reverse-mode d(penalty)/dx; a valid subgradient at kinks."""
-    X, single = _as_matrix(x)
-    _, backward = c.compiled(X, cfg.strict_margin)
-    grad = np.zeros_like(X)
-    backward(np.ones(X.shape[0]), grad)
-    return grad[0] if single else grad
+    return total_penalty_with_gradient(ConstraintSet([c]), x, cfg)[1]
 
 
-def _fuse(members_leaves: list[list[int]]):
-    """(compile, column, tail) for one tree shape used by several
-    members, given each member's feature leaves. compile(tree) turns the
-    first member's tree into one closure for all members, column(i) is
-    what its feature i stands for, and tail is () for a singleton (the
-    tree's own closure) and (G,) for a group of G (column blocks)."""
-    if len(members_leaves) == 1:
-        return (lambda tree: tree.compiled), (lambda i: i), ()
+def _fuse(members_leaves: list[list[int]]) -> dict:
+    """Columns for one tree shape used by several members, given each
+    member's feature leaves: the first member's feature i reads the
+    `column_block` of that feature's counterpart in every member."""
     distinct = [list(dict.fromkeys(leaves)) for leaves in members_leaves]
-    columns = {fs[0]: np.array(fs) for fs in zip(*distinct)}
-    width = len(members_leaves)
-    return (lambda tree: compile_columns(tree, columns, width)), columns.__getitem__, (width,)
+    return {fs[0]: column_block(fs) for fs in zip(*distinct)}
 
 
 @dataclass
 class _Plan:
     """How a constraint set is evaluated. `calls` holds (closure,
-    positions, tail) per group in the order the gradient needs;
+    positions, width) per group in the order the gradient needs;
     `fix_rules` caches the last mask's assignment rules."""
 
     constraints: tuple
     calls: list
-    fix_rules: Optional[tuple] = None  # (mask key, (rules, fused calls))
+    fix_rules: Optional[tuple] = None  # (mask key, FixRules)
 
 
 def _build_plan(constraints: tuple) -> _Plan:
@@ -154,10 +145,10 @@ def _build_plan(constraints: tuple) -> _Plan:
             last[f] = (g, j)
     calls = []
     for members in groups:
-        compile_, _, tail = _fuse([leaves for _, leaves in members])
         positions = [k for k, _ in members]
-        run = compile_(constraints[positions[0]])
-        calls.append((run, np.array(positions) if tail else positions[0], tail))
+        columns = _fuse([leaves for _, leaves in members])
+        run = compile_columns(constraints[positions[0]], columns, len(members))
+        calls.append((run, column_block(positions), len(members)))
     return _Plan(constraints, calls)
 
 
@@ -172,10 +163,10 @@ def _walk(cs: ConstraintSet, X: np.ndarray, cfg: PenaltyConfig, grad=None) -> np
     """The (n_rows, n_constraints) penalty matrix of the set on the
     matrix X; with `grad`, each group's penalty gradient is added into it."""
     P = np.empty((X.shape[0], len(cs)))
-    for run, positions, tail in _plan(cs).calls:
+    for run, positions, width in _plan(cs).calls:
         P[:, positions], backward = run(X, cfg.strict_margin)
         if grad is not None:
-            backward(np.ones((X.shape[0], *tail)), grad)
+            backward(np.ones((X.shape[0], width)), grad)
     return P
 
 
@@ -269,25 +260,21 @@ def _plan_fix(rules: tuple) -> list:
     calls = []
     for level in levels:
         for members in level.values():
-            compile_, column, _ = _fuse([leaves for _, leaves in members])
-            rule = members[0][0]
-            calls.append((compile_(rule.guard), compile_(rule.expr), column(rule.target)))
+            columns = _fuse([leaves for _, leaves in members])
+            rule, width = members[0][0], len(members)
+            calls.append((compile_columns(rule.guard, columns, width),
+                          compile_columns(rule.expr, columns, width), columns[rule.target]))
     return calls
 
 
-class FixRules(list):
-    """A list of fix rules that keeps the fused calls applying it
-    (`calls`), planned again if the list has changed since."""
+class FixRules(tuple):
+    """An immutable sequence of fix rules with the fused calls that apply
+    it (`calls`), planned once, when it is built."""
 
-    def __init__(self, rules=(), planned=None):
-        super().__init__(rules)
-        self._planned = planned  # (rules as planned, calls)
-
-    def calls(self) -> list:
-        snapshot = tuple(self)
-        if self._planned is None or self._planned[0] != snapshot:
-            self._planned = (snapshot, _plan_fix(snapshot))
-        return self._planned[1]
+    def __new__(cls, rules):
+        self = super().__new__(cls, rules)
+        self.calls = _plan_fix(self)
+        return self
 
 
 def fix(
@@ -302,7 +289,7 @@ def fix(
     """
     Xm, single = _as_matrix(X)
     out = Xm.copy()
-    calls = rules.calls() if isinstance(rules, FixRules) else _plan_fix(tuple(rules))
+    calls = rules.calls if isinstance(rules, FixRules) else _plan_fix(tuple(rules))
     for guard, expr, target in calls:
         violated = guard(out, cfg.strict_margin)[0] > 0
         if np.any(violated):
@@ -315,12 +302,12 @@ def assignment_fix_rules(cs: ConstraintSet, mutable_mask: np.ndarray) -> FixRule
 
     Skips targets flagged immutable; other constraint shapes are not
     repairable this way and are left to search. The rules of the last
-    mask asked for are kept with the set's plan, planned for `fix`.
+    mask asked for are kept with the set's plan and handed out again.
     """
     plan = _plan(cs)
     mask = np.asarray(mutable_mask, dtype=bool).tobytes()
     if plan.fix_rules is None or plan.fix_rules[0] != mask:
-        rules = tuple(
+        rules = FixRules(
             FixRule(guard=c, fix=c)
             for c in cs
             if isinstance(c, Relation) and c.op == "=="
@@ -328,6 +315,5 @@ def assignment_fix_rules(cs: ConstraintSet, mutable_mask: np.ndarray) -> FixRule
             and c.left.index not in features_of(c.right)
             and mutable_mask[c.left.index]
         )
-        plan.fix_rules = (mask, (rules, _plan_fix(rules)))
-    planned = plan.fix_rules[1]
-    return FixRules(planned[0], planned)
+        plan.fix_rules = (mask, rules)
+    return plan.fix_rules[1]

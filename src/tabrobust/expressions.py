@@ -5,28 +5,30 @@ features; constraints combine them with relational and boolean nodes.
 All nodes are immutable value objects, so trees can be shared freely
 across threads.
 
-Every node is compiled once, the first time it is used, into a closure
-cached on the node (`compiled`). Called on a row-major feature matrix,
-the closure returns the node's values (a constraint's: its penalty)
+A tree runs as a closure that `compile_columns` builds over column
+blocks. Called on a row-major feature matrix, the closure returns the
+node's values (a constraint's: its penalty), of shape (rows, G),
 together with a backward step that adds adj * d(value)/dX into a
 gradient matrix. Each node type's value rule and derivative rule sit
-together in its `_compile`. `evaluate_expr`, `eval_with_gradient` and
-the penalty engine (`tabrobust.engine`) all run these closures.
+together in its `_compile`. The penalty engine (`tabrobust.engine`)
+compiles each constraint set once, in blocks; `evaluate_expr` and
+`eval_with_gradient` compile a block of width 1 on every call.
 
-The same rules also run on column blocks. `shape_key` gives trees that
-are equal once feature indices are renumbered in order of first use
-(constants included) one key, and `compile_columns` compiles one such
-tree so that its feature i reads the block X[:, columns[i]]: values,
-adjoints and gradient updates then have shape (rows, G), and G trees of
-one shape run as one closure. Every rule is elementwise, so each
-column of a block gets the values its own tree would.
+`shape_key` gives trees that are equal once feature indices are
+renumbered in order of first use (constants included) one key, and
+`compile_columns` compiles one such tree so that its feature i reads
+the block X[:, columns[i]]: G trees of one shape run as one closure.
+Every rule is elementwise, so each column of a block gets the values
+its own tree would. `column_block` holds a block's columns as a slice
+when they step evenly upward, which every block of one column does,
+and as an int array otherwise: basic indexing reads a view, so narrow
+blocks cost no more than a tree reading its own columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,27 +41,15 @@ LOG_EPS = 1e-12
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where a compiled tree reads its features: feature i is column
-    `columns[i]` of X (column i when `columns` is None), and every value
-    has shape (rows, *tail)."""
+    """Where a compiled tree reads its features: feature i is the block
+    X[:, columns[i]], and every value has shape (rows, width)."""
 
-    columns: Optional[dict] = None
-    tail: tuple = ()
-
-
-_OWN_COLUMNS = _Layout()
+    columns: dict
+    width: int
 
 
 class _Node:
     __slots__ = ()
-
-    @cached_property
-    def compiled(self):
-        """The node's closure, built on first use. A numeric node's maps X
-        to (values, backward); a constraint's maps (X, strict_margin) to
-        (penalty, backward). backward(adj, grad) adds adj * d(value)/dX
-        into grad."""
-        return self._compile(_OWN_COLUMNS)
 
 
 def _no_backward(adj, grad):
@@ -133,8 +123,8 @@ class Constant(NumExpr):
     value: float
 
     def _compile(self, layout):
-        value, tail = self.value, layout.tail
-        return lambda X: (np.full((X.shape[0], *tail), value, dtype=float), _no_backward)
+        value, width = self.value, layout.width
+        return lambda X: (np.full((X.shape[0], width), value, dtype=float), _no_backward)
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ class Feature(NumExpr):
     index: int
 
     def _compile(self, layout):
-        i = self.index if layout.columns is None else layout.columns[self.index]
+        i = layout.columns[self.index]
 
         def backward(adj, grad):
             grad[:, i] += adj
@@ -432,12 +422,25 @@ def features_of(node: Union[NumExpr, Constraint]) -> set[int]:
     return set(leaves)
 
 
-def compile_columns(node: _Node, columns: dict[int, np.ndarray], width: int):
+def column_block(indices: list[int]) -> Union[slice, np.ndarray]:
+    """The columns `indices` as one block's index: a slice when they step
+    evenly upward (one column always does), else an int array."""
+    first, last = indices[0], indices[-1]
+    step = indices[1] - first if len(indices) > 1 else 1
+    if step > 0 and list(indices) == list(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
+    return np.array(indices)
+
+
+def compile_columns(node: _Node, columns: dict, width: int):
     """The closure of `node` run on column blocks: feature i of the tree
-    reads X[:, columns[i]] (an int array of length `width`), so values,
-    adjoints and the backward step's gradient updates are (rows, width).
-    The columns of one array must differ, or the updates overwrite."""
-    return node._compile(_Layout(columns, (width,)))
+    reads X[:, columns[i]] (a `column_block` of `width` columns), so
+    values, adjoints and the backward step's gradient updates are
+    (rows, width). A numeric node's closure maps X to (values, backward);
+    a constraint's maps (X, strict_margin) to (penalty, backward).
+    backward(adj, grad) adds adj * d(value)/dX into grad. The columns of
+    one block must differ, or the updates overwrite."""
+    return node._compile(_Layout(columns, width))
 
 
 def _as_matrix(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -449,6 +452,11 @@ def _as_matrix(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected vector or matrix, got ndim={x.ndim}")
 
 
+def _compile_alone(expr: NumExpr):
+    """`expr` as a block of width 1 reading its own columns."""
+    return compile_columns(expr, {i: column_block([i]) for i in features_of(expr)}, 1)
+
+
 def evaluate_expr(expr: NumExpr, x: np.ndarray) -> Union[float, np.ndarray]:
     """Evaluate an expression on a feature vector or row-major matrix.
 
@@ -456,7 +464,7 @@ def evaluate_expr(expr: NumExpr, x: np.ndarray) -> Union[float, np.ndarray]:
     (n, d) matrix.
     """
     X, single = _as_matrix(x)
-    values = expr.compiled(X)[0]
+    values = _compile_alone(expr)(X)[0][:, 0]
     return float(values[0]) if single else values
 
 
@@ -469,9 +477,7 @@ def eval_with_gradient(expr: NumExpr, x: np.ndarray) -> tuple[np.ndarray, np.nda
     for abs.
     """
     X, single = _as_matrix(x)
-    value, backward = expr.compiled(X)
+    value, backward = _compile_alone(expr)(X)
     grad = np.zeros_like(X)
-    backward(np.ones(X.shape[0]), grad)
-    if single:
-        return value[0], grad[0]
-    return value, grad
+    backward(np.ones((X.shape[0], 1)), grad)
+    return (value[0, 0], grad[0]) if single else (value[:, 0], grad)

@@ -112,7 +112,7 @@ class ReferenceModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.scaler is None:
-            raise ValueError("model has no fitted scaler; use predict_proba_scaled")
+            raise ValueError("model has no scaler: train it first, or call predict_proba_scaled")
         return self.predict_proba_scaled(self.scaler.transform(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -175,7 +175,7 @@ class ReferenceModel:
             "hidden": list(self.hidden),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "scaler": self.scaler.to_dict() if self.scaler else None,
+            "scaler": self.scaler.to_dict(),
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -192,9 +192,8 @@ class ReferenceModel:
         if not all(is_number(h, int) and h >= 1 for h in hidden):
             raise DataError(f"model field 'hidden' must be a list of integers >= 1, got {hidden!r}")
         model = cls(n_features, hidden=tuple(hidden))
-        scaler = json_field(d, "scaler", (dict, type(None)), "model")
-        model.scaler = MinMaxScaler.from_dict(scaler) if scaler else None
-        if scaler and not len(model.scaler.min_) == len(model.scaler.width_) == n_features:
+        model.scaler = MinMaxScaler.from_dict(json_field(d, "scaler", dict, "model"))
+        if not len(model.scaler.min_) == len(model.scaler.width_) == n_features:
             raise DataError(f"model scaler fields 'min' and 'width' must have {n_features} entries")
         # The freshly built model's layers give the shapes the file must have.
         for key, ndim, layers in (("weights", 2, model.weights), ("biases", 1, model.biases)):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tabrobust import mlp
+from tabrobust import defense, mlp
 from tabrobust.attacks import AttackBudget, caa
 from tabrobust.harness import select_attack_set
 
@@ -80,3 +80,23 @@ def test_every_model_site_fires(tracing, small_bench):
         "ReferenceModel.predict_proba_scaled",
     }
     assert not [attr for attr, i in model_sites.items() if i not in tracer.fired]
+
+
+def test_every_defense_site_fires(tracing, small_bench):
+    # Cutmix and one adversarial-training epoch make every defense call
+    # the bench wraps; one that stopped going through its site would
+    # otherwise show only in the slow traced run.
+    model, dataset, schema, cs = small_bench
+    fresh = mlp.ReferenceModel(schema.n_features, seed=3, scaler=model.scaler)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        defense.augment_dataset(dataset, schema, cs, defense.AugmentConfig(ratio=0.1, seed=3))
+        defense.adversarial_train(fresh, dataset, cs, defense.ATConfig(),
+                                  mlp.TrainConfig(epochs=1, seed=3), schema)
+    finally:
+        tracer.uninstall()
+    defense_sites = {s.attr: i for i, s in enumerate(tracing.SITES)
+                     if s.module == "tabrobust.defense"}
+    assert len(defense_sites) == 8
+    assert not [attr for attr, i in defense_sites.items() if i not in tracer.fired]

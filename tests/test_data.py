@@ -208,7 +208,7 @@ class TestValidation:
                 [0.0, 5.0, 0.0, 1.0],
             ]
         )
-        fits = fits_schema(X, schema)
+        fits = fits_schema(X, schema, 0.0)
         assert fits.tolist() == [True, False, False, False, False, True]
         for row, ok in zip(X, fits):
             if ok:
@@ -216,6 +216,11 @@ class TestValidation:
             else:
                 with pytest.raises(DataError):
                     validate_against_schema(row[None], schema)
+        # The slack widens the bounds only, both ways.
+        near = np.array([[10.0 + 5e-10, 0.0, 1.0, 0.0], [-5e-10, 5.0, 0.0, 1.0]])
+        assert fits_schema(near, schema, 1e-9).tolist() == [True, True]
+        assert fits_schema(near, schema, 0.0).tolist() == [False, False]
+        assert not fits_schema(X[2:5], schema, 1e-9).any()
 
     def test_onehot_exclusivity(self):
         schema = DatasetSchema(

@@ -50,7 +50,7 @@ def replay_cutmix(X, y, count, rng, schema, cs, cfg):
                 x = fix(rules, x, cfg)
             if not check(cs, x, cfg):
                 continue
-        if fits_schema(x[None], schema)[0]:
+        if fits_schema(x[None], schema, 0.0)[0]:
             rows.append(x)
             labels.append(label)
     return np.array(rows).reshape(-1, X.shape[1]), np.array(labels, dtype=int)

@@ -170,7 +170,7 @@ class TestFix:
         rules = assignment_fix_rules(cs, np.ones(5, dtype=bool))
         assert len(rules) == 1 and rules[0].target == 0
         mutable = np.array([False, True, True, True, True])
-        assert assignment_fix_rules(cs, mutable) == []
+        assert len(assignment_fix_rules(cs, mutable)) == 0
 
 
 class TestPenaltyGradient:

@@ -59,6 +59,17 @@ def assert_engines_agree(cs, rules, X):
                     (ref.check(cs, x, cfg), engine.check(cs, x, cfg)),
                     (ref.fix(rules, x, cfg), engine.fix(rules, x, cfg)),
                 ]
+                # One constraint alone: its column of the matrix, and the
+                # gradient of the set of it.
+                columns = ref.penalty_matrix(cs, x, cfg)
+                for k, con in enumerate(cs):
+                    alone = ConstraintSet([con])
+                    pairs += [
+                        (columns[:, k] if x.ndim == 2 else columns[0, k],
+                         engine.penalty(con, x, cfg)),
+                        (ref.total_penalty_with_gradient(alone, x, cfg)[1],
+                         engine.penalty_gradient(con, x, cfg)),
+                    ]
             for i, (old, new) in enumerate(pairs):
                 assert np.array_equal(old, new, equal_nan=True), (i, cs.constraints, x)
 
@@ -87,6 +98,11 @@ def test_random_trees_match_reference():
         with np.errstate(all="ignore"):
             old, new = ref.eval_with_gradient(expr, X), eval_with_gradient(expr, X)
             assert np.array_equal(old[0], evaluate_expr(expr, X), equal_nan=True)
+        assert np.array_equal(old[0], new[0], equal_nan=True)
+        assert np.array_equal(old[1], new[1], equal_nan=True)
+        with np.errstate(all="ignore"):
+            old, new = ref.eval_with_gradient(expr, X[3]), eval_with_gradient(expr, X[3])
+            assert np.array_equal(old[0], evaluate_expr(expr, X[3]), equal_nan=True)
         assert np.array_equal(old[0], new[0], equal_nan=True)
         assert np.array_equal(old[1], new[1], equal_nan=True)
 
@@ -135,21 +151,18 @@ def test_kinks_match_reference():
         assert_engines_agree(ConstraintSet([con]), rules, X)
 
 
-@pytest.mark.parametrize("text", ["if F0 > F1 then F2 <= F3", "min(F0, F1) <= F2"])
-def test_nodes_compile_once(text):
-    con = c(text)
-    first = con.compiled
-    engine.total_penalty_with_gradient(ConstraintSet([con]), np.array(KINK_ROWS))
-    assert con.compiled is first
+def block_width(block):
+    """Columns in a `column_block`: a slice or an int array."""
+    return len(range(block.stop)[block]) if isinstance(block, slice) else len(block)
 
 
 def plan_widths(cs):
     """Members per call of the set's plan, in run order."""
-    return [int(np.size(positions)) for _, positions, _ in engine._plan(cs).calls]
+    return [width for _, _, width in engine._plan(cs).calls]
 
 
 def fix_widths(rules):
-    return [int(np.size(target)) for _, _, target in engine.FixRules(rules).calls()]
+    return [block_width(target) for _, _, target in engine.FixRules(rules).calls]
 
 
 @pytest.fixture(scope="module")
@@ -207,16 +220,37 @@ def test_wide_totals_agree(wide):
         assert np.array_equal(total, total_with_gradient, equal_nan=True), n
 
 
+def group_columns(cs):
+    """The column blocks each group of the set's plan reads."""
+    blocks = []
+    for _, positions, _ in engine._plan(cs).calls:
+        members = [cs.constraints[k] for k in np.arange(len(cs))[positions]]
+        leaves = [[] for _ in members]
+        for con, into in zip(members, leaves):
+            shape_key((con,), into)
+        blocks.extend(engine._fuse(leaves).values())
+    return blocks
+
+
 def test_plan_structure(wide):
     _, schema, cs = wide
     assert plan_widths(cs) == [16] * 8
+    # Block-major groups read slices, in the matrix and in X.
+    assert [positions for _, positions, _ in cs.plan.calls] == [
+        slice(g, g + 121, 8) for g in range(8)]
+    assert all(isinstance(b, slice) for b in group_columns(cs))
     # 48 fix rules, one level: one fused call per rule shape.
     rules = engine.assignment_fix_rules(cs, schema.mutable)
     assert len(rules) == 48
-    assert [int(np.size(target)) for _, _, target in rules.calls()] == [16, 16, 16]
+    targets = [target for _, _, target in rules.calls]
+    assert [block_width(t) for t in targets] == [16, 16, 16]
+    assert all(isinstance(t, slice) for t in targets)
 
     _, _, bench_cs = generate_synthetic(SyntheticSpec(n_rows=50), seed=0)
     assert plan_widths(bench_cs) == [1, 1]
+    assert [positions for _, positions, _ in bench_cs.plan.calls] == [
+        slice(0, 1, 1), slice(1, 2, 1)]
+    assert all(isinstance(b, slice) for b in group_columns(bench_cs))
 
     grown = ConstraintSet(list(cs.constraints))
     assert plan_widths(grown) == [16] * 8
@@ -224,7 +258,18 @@ def test_plan_structure(wide):
     grown.add(grown.constraints[0])  # same shape and columns as the first
     assert engine._plan(grown) is not first
     assert plan_widths(grown) == [16] * 8 + [1]
-    assert grown.plan.calls[-1][1] == 128
+    assert grown.plan.calls[-1][1] == slice(128, 129, 1)
+
+    # Shuffled, the groups' positions and columns no longer step evenly.
+    order = np.random.default_rng(6).permutation(len(cs))
+    shuffled = ConstraintSet([cs.constraints[k] for k in order])
+    assert max(plan_widths(shuffled)) > 1
+    for _, positions, width in engine._plan(shuffled).calls:
+        assert isinstance(positions, np.ndarray if width > 1 else slice)
+    assert any(isinstance(b, np.ndarray) for b in group_columns(shuffled))
+    rules = engine.assignment_fix_rules(shuffled, schema.mutable)
+    assert any(isinstance(t, np.ndarray) for _, _, t in rules.calls)
+    assert_engines_agree(shuffled, rules, off_bounds(wide)[:16])
 
 
 def test_fix_rules_follow_the_set(wide):
@@ -232,18 +277,15 @@ def test_fix_rules_follow_the_set(wide):
     cs = ConstraintSet(list(cs.constraints))
     mask = schema.mutable
     first = engine.assignment_fix_rules(cs, mask)
-    again = engine.assignment_fix_rules(cs, mask)
-    assert again == first and again is not first
-    assert again.calls() is first.calls()  # planned once per set and mask
+    assert engine.assignment_fix_rules(cs, mask) is first  # one per set and mask
     assert len(engine.assignment_fix_rules(cs, np.zeros_like(mask))) == 0
     extra = parse_constraint("a_0 == c_0 * 2", schema)
     cs.add(extra)
     grown = engine.assignment_fix_rules(cs, mask)
     assert grown[:-1] == first and grown[-1].fix is extra
-    # A caller's list that changes is planned again.
-    first.append(grown[-1])
+    # A plain list is planned on every call.
     x = dataset.X[:4] + 1.0
-    assert np.array_equal(engine.fix(first, x), ref.fix(grown, x))
+    assert np.array_equal(engine.fix(list(grown), x), ref.fix(grown, x))
 
 
 def relabel(node, features, constants=lambda v: v):

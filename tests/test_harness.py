@@ -558,6 +558,7 @@ class TestCli:
              "model field 'biases' must have shapes [(64,), (32,), (16,), (2,)]"),
             ({**trained, "scaler": {**scaler, "width": [0.0] * 6}},
              "scaler field 'width' must be positive"),
+            ({**trained, "scaler": None}, "model field 'scaler' must be dict, got NoneType"),
             ({**trained, "weights": first_row(weights[0][0][:-1])}, bad_weights),
             ({**trained, "weights": first_row(["x", *weights[0][0][1:]])}, bad_weights),
             ({**trained, "weights": first_row([None, *weights[0][0][1:]])}, bad_weights),
