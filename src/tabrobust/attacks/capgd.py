@@ -19,7 +19,7 @@ bookkeeping; the attack itself is deterministic (no random start).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class GradientAttackOutput:
 
     candidates: np.ndarray
     misclassified: np.ndarray
-    loss_trace: list[np.ndarray] = field(default_factory=list)
 
 
 def _objective_pieces(
@@ -103,10 +102,9 @@ def capgd(
     obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
     best_cand = Z0.copy()
     best_key = candidate_key(mis0, pen0, np.zeros(n))
-    trace: list[np.ndarray] = []
 
     if budget.eps == 0:
-        return GradientAttackOutput(candidates=best_cand, misclassified=mis0, loss_trace=trace)
+        return GradientAttackOutput(candidates=best_cand, misclassified=mis0)
 
     eta = np.full(n, 2.0 * budget.eps / budget.n_iter_gradient)
     checkpoints = checkpoint_schedule(budget.n_iter_gradient)
@@ -168,7 +166,6 @@ def capgd(
         gained = obj_next > best_obj
         best_obj_point[gained] = z_next[gained]
         best_obj[gained] = obj_next[gained]
-        trace.append(obj_next.copy())
 
         z_prev, z_cur = z_cur, z_next
         obj_cur = obj_next
@@ -193,11 +190,7 @@ def capgd(
             improvements = np.zeros(n)
             prev_checkpoint = it
 
-    return GradientAttackOutput(
-        candidates=best_cand,
-        misclassified=best_key[:, 0] == 0.0,
-        loss_trace=trace,
-    )
+    return GradientAttackOutput(candidates=best_cand, misclassified=best_key[:, 0] == 0.0)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:

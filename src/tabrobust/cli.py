@@ -20,7 +20,7 @@ from .data import DataError, load_dataset, save_dataset
 from .defense import ATConfig, AugmentConfig, adversarial_train, augment_dataset
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, check
 from .harness import SweepSpec, evaluate
-from .mlp import ReferenceModel, TrainConfig, TrainingDiverged, train
+from .mlp import ReferenceModel, TrainConfig, TrainHistory, TrainingDiverged, train
 from .parser import load_constraints, save_constraints
 from .report import emit_report, load_report, merge_leaderboard, write_leaderboard
 from .synth import SyntheticSpec, generate_synthetic
@@ -180,22 +180,27 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _save_model(model: ReferenceModel, history: TrainHistory, out: Path, trained: str) -> int:
+    """Save the model and print what training did: `trained` and the
+    validation AUCs, or that no epoch ran."""
+    model.save(out)
+    if history.epochs:
+        print(
+            f"{trained}; val AUC best={history.best_val_auc:.4f} (epoch {history.best_epoch}) "
+            f"last={history.epochs[-1].val_auc:.4f}; saved {out}"
+        )
+    else:
+        print(f"saved untrained model to {out}")
+    return 0
+
+
 def cmd_train(args) -> int:
     dataset, schema, _ = _load_bundle(args)
     cfg = _train_config(args)
     model = ReferenceModel(schema.n_features, seed=cfg.seed)
     model, history = train(model, dataset, cfg, schema=schema)
-    out = Path(args.out or "model.json")
-    model.save(out)
-    if history.epochs:
-        last = history.epochs[-1]
-        print(
-            f"trained {cfg.epochs} epochs; val AUC best={history.best_val_auc:.4f} "
-            f"(epoch {history.best_epoch}) last={last.val_auc:.4f}; saved {out}"
-        )
-    else:
-        print(f"saved untrained model to {out}")
-    return 0
+    return _save_model(model, history, Path(args.out or "model.json"),
+                       f"trained {cfg.epochs} epochs")
 
 
 def cmd_advtrain(args) -> int:
@@ -216,13 +221,8 @@ def cmd_advtrain(args) -> int:
     model, history = adversarial_train(
         model, dataset, cs, at_cfg, cfg, schema
     )
-    out = Path(args.out or "model_at.json")
-    model.save(out)
-    print(
-        f"adversarially trained {cfg.epochs} epochs (inner eps={inner.eps}); "
-        f"val AUC best={history.best_val_auc:.4f} (epoch {history.best_epoch}); saved {out}"
-    )
-    return 0
+    return _save_model(model, history, Path(args.out or "model_at.json"),
+                       f"adversarially trained {cfg.epochs} epochs (inner eps={inner.eps})")
 
 
 def cmd_evaluate(args) -> int:

@@ -361,8 +361,8 @@ class Implies(Constraint):
 class ConstraintSet:
     """Ordered, flat collection of constraints.
 
-    `source_text` keeps the original line for each constraint when the
-    set was parsed from a file (None for programmatic constraints).
+    `source_text` keeps the original line for each parsed constraint
+    (None for one built in code); `parser.save_constraints` writes it.
     """
 
     constraints: list[Constraint] = field(default_factory=list)

@@ -1,4 +1,4 @@
-"""Textual constraint language: tokenizer, parser, and formatter.
+"""Textual constraint language: tokenizer and parser.
 
 One constraint per line, `#` comments. Grammar:
 
@@ -13,8 +13,7 @@ One constraint per line, `#` comments. Grammar:
 
 Numbers may carry a leading minus at atom position. Feature references
 are either a declared column name or the canonical F<k> form; both
-resolve to integer indices at parse time. `format_constraint` prints
-the canonical form, and parse(format(c)) reproduces the tree.
+resolve to integer indices at parse time.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .data import DatasetSchema
 from .expressions import (
     Abs,
     Add,
-    And,
     Constant,
     Constraint,
     ConstraintSet,
@@ -38,7 +36,6 @@ from .expressions import (
     Min,
     Mul,
     NumExpr,
-    Or,
     Pow,
     Relation,
     SafeDiv,
@@ -248,74 +245,8 @@ def load_constraints(
 
 
 def save_constraints(cs: ConstraintSet, path: Union[str, Path]) -> None:
-    lines = [format_constraint(c) for c in cs]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-# Binding strengths for the precedence-aware printer.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_ATOM = 4
-
-
-def _format_expr(expr: NumExpr) -> tuple[str, int]:
-    """Render an expression, returning (text, precedence of its root)."""
-    if isinstance(expr, Constant):
-        text = repr(float(expr.value))
-        return text, _PREC_ATOM
-    if isinstance(expr, Feature):
-        return f"F{expr.index}", _PREC_ATOM
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
-        left = _wrap(expr.left, _PREC_ADD)
-        right = _wrap(expr.right, _PREC_ADD, right_side=True)
-        return f"{left} {op} {right}", _PREC_ADD
-    if isinstance(expr, (Mul, SafeDiv)):
-        op = "*" if isinstance(expr, Mul) else "/"
-        left = _wrap(expr.left, _PREC_MUL)
-        right = _wrap(expr.right, _PREC_MUL, right_side=True)
-        return f"{left} {op} {right}", _PREC_MUL
-    if isinstance(expr, Pow):
-        # Grammar allows only atoms on both sides of ^.
-        base = _wrap(expr.base, _PREC_ATOM)
-        exponent = _wrap(expr.exponent, _PREC_ATOM)
-        return f"{base} ^ {exponent}", _PREC_POW
-    if isinstance(expr, Log):
-        return f"log({_format_expr(expr.arg)[0]})", _PREC_ATOM
-    if isinstance(expr, Abs):
-        return f"abs({_format_expr(expr.arg)[0]})", _PREC_ATOM
-    if isinstance(expr, (Min, Max)):
-        name = "min" if isinstance(expr, Min) else "max"
-        inner = ", ".join(_format_expr(a)[0] for a in expr.args)
-        return f"{name}({inner})", _PREC_ATOM
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def _wrap(expr: NumExpr, parent_prec: int, right_side: bool = False) -> str:
-    text, prec = _format_expr(expr)
-    if prec < parent_prec or (right_side and prec == parent_prec):
-        return f"({text})"
-    return text
-
-
-def format_expression(expr: NumExpr) -> str:
-    return _format_expr(expr)[0]
-
-
-def format_constraint(c: Constraint) -> str:
-    """Render a constraint in the textual grammar (canonical F<k> names).
-
-    And/Or nodes have no textual form and raise ValueError.
-    """
-    if isinstance(c, Relation):
-        return f"{format_expression(c.left)} {c.op} {format_expression(c.right)}"
-    if isinstance(c, Implies):
-        if not isinstance(c.body, Relation):
-            raise ValueError("only relation bodies can be formatted in if/then")
-        return f"if {format_constraint(c.guard)} then {format_constraint(c.body)}"
-    if isinstance(c, (And, Or)):
-        raise ValueError(
-            "And/Or constraints have no textual form; store them as separate lines"
-        )
-    raise TypeError(f"unknown constraint node {type(c).__name__}")
+    """Write each constraint as the line it was parsed from."""
+    for i, text in enumerate(cs.source_text):
+        if text is None:
+            raise ValueError(f"constraint {i} has no source text to save")
+    Path(path).write_text("".join(f"{text}\n" for text in cs.source_text))

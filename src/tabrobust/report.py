@@ -13,27 +13,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-from .data import DataError, json_field
+from .data import DataError, is_number, json_field
 
-CSV_HEADER = [
-    "model",
-    "defense",
-    "axis",
-    "budget_value",
-    "norm",
-    "eps",
-    "n_iter_gradient",
-    "n_gen",
-    "seed",
-    "clean_accuracy",
-    "clean_auc",
-    "clean_mcc",
-    "clean_precision",
-    "clean_recall",
-    "attack_set_size",
-    "robust_accuracy_constrained",
-    "robust_accuracy_unconstrained",
-]
+REPORT_VERSION = 1
 
 # JSON types of the field annotations read by `from_dict`.
 JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "dict[str, float]": dict}
@@ -86,17 +68,9 @@ class EvaluationReport:
             raise ValueError("report has no budget entries")
         return self.budgets[0]
 
-    @property
-    def robust_accuracy_constrained(self) -> float:
-        return self.headline.robust_accuracy_constrained
-
-    @property
-    def robust_accuracy_unconstrained(self) -> float:
-        return self.headline.robust_accuracy_unconstrained
-
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": REPORT_VERSION,
             "model": self.model,
             "defense": self.defense,
             "seed": self.seed,
@@ -111,14 +85,24 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationReport":
+        version = json_field(d, "version", int, "report", default=None)
+        if version != REPORT_VERSION:
+            raise DataError(f"unsupported report version {version!r}")
         timing = json_field(d, "timing", dict, "report", default={})
         times = json_field(timing, "attack_seconds", list, "report timing", default=[])
         budgets = [
             BudgetEntry.from_dict(b, wall_time=times[i] if i < len(times) else 0.0)
             for i, b in enumerate(json_field(d, "budgets", list, "report"))
         ]
+        values = _read_fields(cls, d, "report", ("budgets", "config"))
+        for name, entries in (("clean", values["clean"].items()),
+                              ("attack_seconds", enumerate(times))):
+            for key, value in entries:
+                if not is_number(value):
+                    raise DataError(f"report field {name!r} entry {key!r} must be a number, "
+                                    f"got {type(value).__name__}")
         return cls(
-            **_read_fields(cls, d, "report", ("budgets", "config")),
+            **values,
             budgets=budgets,
             config=json_field(d, "config", dict, "report", default={}),
         )
@@ -130,6 +114,41 @@ class EvaluationReport:
         return d
 
 
+# The report CSV's columns, in order, each with its value for one
+# (report, budget entry) pair.
+REPORT_COLUMNS = {
+    "model": lambda r, b: r.model,
+    "defense": lambda r, b: r.defense,
+    "axis": lambda r, b: b.axis,
+    "budget_value": lambda r, b: b.value,
+    **{key: (lambda r, b, key=key: b.budget.get(key))
+       for key in ("norm", "eps", "n_iter_gradient", "n_gen")},
+    "seed": lambda r, b: r.seed,
+    **{f"clean_{key}": (lambda r, b, key=key: r.clean.get(key))
+       for key in ("accuracy", "auc", "mcc", "precision", "recall")},
+    "attack_set_size": lambda r, b: r.attack_set_size,
+    "robust_accuracy_constrained": lambda r, b: b.robust_accuracy_constrained,
+    "robust_accuracy_unconstrained": lambda r, b: b.robust_accuracy_unconstrained,
+}
+
+# The leaderboard's columns, valued at each report's headline entry.
+LEADERBOARD_COLUMNS = (
+    "model",
+    "defense",
+    "clean_accuracy",
+    "robust_accuracy_constrained",
+    "robust_accuracy_unconstrained",
+    "seed",
+)
+
+
+def _write_csv(path: Union[str, Path], columns, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def emit_report(
     report: EvaluationReport, path: Union[str, Path], format: str = "json"
 ) -> None:
@@ -137,41 +156,15 @@ def emit_report(
     if format == "json":
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for row in report_rows(report):
-                writer.writerow(row)
+        _write_csv(path, REPORT_COLUMNS, report_rows(report))
     else:
         raise ValueError(f"unknown report format {format!r}")
 
 
-def report_rows(report: EvaluationReport) -> list[list]:
+def report_rows(report: EvaluationReport) -> list[dict]:
     """One CSV row per (model, defense, budget)."""
-    rows = []
-    for b in report.budgets:
-        rows.append(
-            [
-                report.model,
-                report.defense,
-                b.axis,
-                b.value,
-                b.budget.get("norm"),
-                b.budget.get("eps"),
-                b.budget.get("n_iter_gradient"),
-                b.budget.get("n_gen"),
-                report.seed,
-                report.clean.get("accuracy"),
-                report.clean.get("auc"),
-                report.clean.get("mcc"),
-                report.clean.get("precision"),
-                report.clean.get("recall"),
-                report.attack_set_size,
-                b.robust_accuracy_constrained,
-                b.robust_accuracy_unconstrained,
-            ]
-        )
-    return rows
+    return [{name: value(report, b) for name, value in REPORT_COLUMNS.items()}
+            for b in report.budgets]
 
 
 def load_report(path: Union[str, Path]) -> EvaluationReport:
@@ -182,14 +175,7 @@ def merge_leaderboard(reports: list[EvaluationReport]) -> list[dict]:
     """Flatten reports into leaderboard rows, best constrained robust
     accuracy first (clean accuracy breaks ties)."""
     rows = [
-        {
-            "model": r.model,
-            "defense": r.defense,
-            "clean_accuracy": r.clean.get("accuracy"),
-            "robust_accuracy_constrained": r.robust_accuracy_constrained,
-            "robust_accuracy_unconstrained": r.robust_accuracy_unconstrained,
-            "seed": r.seed,
-        }
+        {name: REPORT_COLUMNS[name](r, r.headline) for name in LEADERBOARD_COLUMNS}
         for r in reports
     ]
     rows.sort(
@@ -203,16 +189,4 @@ def merge_leaderboard(reports: list[EvaluationReport]) -> list[dict]:
 
 
 def write_leaderboard(rows: list[dict], path: Union[str, Path]) -> None:
-    header = [
-        "model",
-        "defense",
-        "clean_accuracy",
-        "robust_accuracy_constrained",
-        "robust_accuracy_unconstrained",
-        "seed",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] for k in header])
+    _write_csv(path, LEADERBOARD_COLUMNS, rows)

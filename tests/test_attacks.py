@@ -269,18 +269,6 @@ class TestCapgd:
         # Ranked by smallest distance among successes: near the crossing.
         assert abs(candidate - 0.5) <= 2 * (2 * budget.eps / budget.n_iter_gradient)
 
-    def test_unconstrained_best_so_far_loss_nondecreasing(self):
-        # Convex objective (linear model, no penalty): the best-so-far
-        # trace of the ascent must be non-decreasing.
-        schema = continuous_schema(2)
-        model = linear_model([2.0, -1.5], 0.2, identity_scaler(2))
-        budget = AttackBudget(eps=0.4, n_iter_gradient=20, lam=0.0)
-        z = np.array([[0.3, 0.7]])
-        out = capgd(model, ConstraintSet(), z, np.array([0]), budget, schema)
-        trace = np.array([t[0] for t in out.loss_trace])
-        best = np.maximum.accumulate(trace)
-        assert np.all(np.diff(best) >= -1e-12)
-
     def test_penalty_guides_toward_feasible(self, small_bench):
         model, dataset, schema, cs = small_bench
         budget = AttackBudget(eps=0.5, seed=0)

@@ -229,7 +229,7 @@ class TestReports:
         with pytest.raises(DataError, match="report missing field 'n_success_constrained'"):
             EvaluationReport.from_dict(d)
         with pytest.raises(DataError, match="report missing field 'budgets'"):
-            EvaluationReport.from_dict({"model": "x"})
+            EvaluationReport.from_dict({"version": 1, "model": "x"})
 
     def test_csv_has_fixed_header(self, tmp_path):
         report = self.make_report()
@@ -292,6 +292,10 @@ class TestCli:
         assert code == 0 and report_path.exists()
         report = json.loads(report_path.read_text())
         assert "robust_accuracy_constrained" in report["budgets"][0]
+
+    def test_synth_saves_the_template_lines(self, cli_dataset):
+        text = (cli_dataset / "constraints.txt").read_text()
+        assert text == "F0 == F1 + F2\nif F1 > 0 then F4 > 0\n"
 
     def test_missing_model_exits_one(self, cli_dataset, tmp_path, capsys):
         code = cli_main(
@@ -510,11 +514,18 @@ class TestCli:
         entry = {"axis": "eps", "value": 0.5, "budget": {},
                  "robust_accuracy_constrained": 1.0, "robust_accuracy_unconstrained": 1.0,
                  "n_success_constrained": 0, "n_success_unconstrained": 0}
-        report = {"model": "m", "defense": "none", "seed": 0, "clean": {},
+        report = {"version": 1, "model": "m", "defense": "none", "seed": 0, "clean": {},
                   "attack_set_size": 1, "budgets": [entry]}
+        unversioned = {k: v for k, v in report.items() if k != "version"}
         bad_report = tmp_path / "bad.json"
         for payload, message in (
-            ({"model": "x"}, "report missing field 'budgets'"),
+            ({"version": 1, "model": "x"}, "report missing field 'budgets'"),
+            ({**report, "version": 99}, "unsupported report version 99"),
+            (unversioned, "unsupported report version None"),
+            ({**report, "clean": {"accuracy": "x"}},
+             "report field 'clean' entry 'accuracy' must be a number, got str"),
+            ({**report, "timing": {"attack_seconds": ["x"]}},
+             "report field 'attack_seconds' entry 0 must be a number, got str"),
             ([], "report must be a JSON object, got list"),
             ({**report, "budgets": 5}, "report field 'budgets' must be list, got int"),
             ({**report, "seed": "0"}, "report field 'seed' must be int, got str"),
@@ -638,6 +649,13 @@ class TestCli:
              "--out", str(model_path)]
         )
         assert code == 0 and model_path.exists()
-        best = re.search(r"val AUC best=\d\.\d{4} \(epoch (\d+)\); saved",
+        best = re.search(r"val AUC best=\d\.\d{4} \(epoch (\d+)\) last=\d\.\d{4}; saved",
                          capsys.readouterr().out)
         assert best and 0 <= int(best.group(1)) < 3
+
+    @pytest.mark.parametrize("command", ["train", "advtrain"])
+    def test_zero_epochs_saves_untrained_model(self, command, cli_dataset, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert cli_main([command, "--data", str(cli_dataset), "--epochs", "0",
+                         "--out", str(out)]) == 0
+        assert out.exists() and capsys.readouterr().out == f"saved untrained model to {out}\n"

@@ -12,9 +12,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "tabrobust").rglob("*.py"))
 READERS = [*SOURCES, *sorted((ROOT / "bench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-# The derivative counterpart of `evaluate_expr`, which bench/wide.py calls;
-# deleting it would only move its body into the tests of expression gradients.
-EXCEPTIONS = {"eval_with_gradient"}
+# `eval_with_gradient`: the derivative counterpart of `evaluate_expr`, which
+# bench/wide.py calls; deleting it would only move its body into the tests of
+# expression gradients. `And`: no constraint file can state it, but criterion 2
+# draws it through `conftest.random_constraint`, so the engine must keep it.
+# (conftest.py is not a reader: every test imports it, so it would hide names
+# that only tests use.)
+EXCEPTIONS = {"eval_with_gradient", "And"}
 
 
 def _public_defs(tree: ast.Module):
