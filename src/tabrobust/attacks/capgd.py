@@ -11,7 +11,8 @@ The update blends the gradient step with the previous displacement
 iterate reset to the best-seen point whenever fewer than rho * interval
 iterations improved the objective. The penalty weight doubles at any
 checkpoint where the best candidate is still violating, keeping both
-objectives active.
+objectives active. The schedule's last checkpoint is the last iteration,
+so no restart or doubling happens there: nothing would read it.
 
 Everything is vectorized across samples with per-sample step sizes and
 bookkeeping; the attack itself is deterministic (no random start).
@@ -107,7 +108,7 @@ def capgd(
         return GradientAttackOutput(candidates=best_cand, misclassified=mis0)
 
     eta = np.full(n, 2.0 * budget.eps / budget.n_iter_gradient)
-    checkpoints = checkpoint_schedule(budget.n_iter_gradient)
+    checkpoints = checkpoint_schedule(budget.n_iter_gradient)[:-1]
     rules = assignment_fix_rules(cs, schema.mutable)
 
     def offer_repaired(z_batch: np.ndarray) -> None:

@@ -4,14 +4,22 @@ Each candidate is scored on three objectives, all minimized: the
 probability the model assigns to the true class, the perturbation
 distance, and the total constraint penalty. Survival is elitist
 nondominated sorting with crowding distance; mating is binary
-tournament on (front rank, crowding). Survival works on whole arrays:
-dominance compares dense integer value ranks of each objective, and
-one stable sort per objective by (front, value, index) gives every
-front's crowding at once. Offspring come from two-point crossover over
-the mutable gene slots plus per-slot mutation (Gaussian for continuous,
-uniform resample for integer and one-hot slots), then are projected
-into the feasible box/ball and repaired with any assignment-form fix
-rules derivable from the constraint set.
+tournament on (front rank, crowding), and one draw of random numbers
+picks both parent sets of a generation (the stream of two draws).
+
+Survival works on whole arrays. Dominance compares dense integer value
+ranks of each objective. A row's dominators are the rows nowhere worse
+than it less its exact copies, which share its front, so no transposed
+dominance matrix is built. Fronts are peeled only until they hold the
+survivors; the rows left share one rank past them, since survival
+never reads their order. One stable sort per objective by (front,
+value, index) then gives every front's crowding at once.
+
+Offspring come from two-point crossover over the mutable gene slots
+plus per-slot mutation (Gaussian for continuous, uniform resample for
+integer and one-hot slots), then are projected into the feasible
+box/ball and repaired with any assignment-form fix rules derivable
+from the constraint set.
 
 The slot layout is built once per call. Mutation draws one fixed block
 of random numbers per generation, in this order: a hit flag for every
@@ -111,7 +119,9 @@ def slot_layout(schema: DatasetSchema) -> SlotLayout:
     )
 
 
-def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rank_and_crowding(
+    F: np.ndarray, k: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Front index (minimization) and crowding distance per row of an
     (n, m) objective matrix.
 
@@ -120,52 +130,84 @@ def rank_and_crowding(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     between a row's neighbours in (value, index) order; the first and
     last row of a front are infinite, and an objective with no positive
     spread over the front adds nothing.
+
+    With a survivor count `k`, fronts are peeled only until they hold at
+    least `k` rows; those rows get their exact rank and crowding, and
+    every other row gets one rank past them (and the crowding of one
+    front made of them all).
     """
     n, m = F.shape
+    k = n if k is None else min(k, n)
     G = np.ascontiguousarray(F.T)
     itype = np.int16 if n < 2**15 else np.int64
-    # Per objective: rows in (value, index) order with NaN last, and
-    # dense value ranks, so that a <= b iff rank(a) <= rank(b).
-    by_value = np.argsort(G, axis=1, kind="stable")
-    Gs = np.take_along_axis(G, by_value, axis=1)
+    objs = np.arange(m)[:, None]
+    # Per objective: dense value ranks, so that a <= b iff rank(a) <=
+    # rank(b). The sort may order ties either way; NaN sorts last and
+    # gets a rank of its own.
+    by_value = np.argsort(G, axis=1)
+    Gs = G[objs, by_value]
     step = np.zeros((m, n), dtype=itype)
     np.not_equal(Gs[:, 1:], Gs[:, :-1], out=step[:, 1:])
     np.cumsum(step, axis=1, out=step)
     R = np.empty_like(step)
-    np.put_along_axis(R, by_value, step, axis=1)
+    R[objs, by_value] = step
 
-    le = R[0][:, None] <= R[0]
+    le = R[0][:, None] <= R[0]  # [i, j]: i is nowhere worse than j
     for j in range(1, m):
         le &= R[j][:, None] <= R[j]
-    nan = np.isnan(G).any(axis=0)
-    le[nan] = False
-    le[:, nan] = False
-    dominates = (le & ~le.T).view(np.uint8)  # [i, j]: i dominates j
-    dom_count = dominates.sum(axis=0, dtype=np.int32)
-    rank = np.full(n, -1, dtype=int)
+    # i dominates j iff le[i, j] and not le[j, i]. Rows with both are
+    # j's exact copies (equal in every rank, j itself included), so j's
+    # dominators are its column sum less its copies. A NaN row is given
+    # no dominators, so it is peeled first; its NaN rank lies past every
+    # value, so its le row counts nothing against rows without NaN.
+    isnan = np.isnan(G)
+    nan = isnan.any(axis=0)
+    joint = np.lexsort(R)
+    Rj = R.take(joint, axis=1)
+    new = np.ones(n + 1, dtype=bool)
+    new[1:-1] = (Rj[:, 1:] != Rj[:, :-1]).any(axis=0)
+    copies = np.diff(np.flatnonzero(new))  # per run of equal rows
+    le = le.view(np.uint8)
+    dom_count = le.sum(axis=0, dtype=itype)
+    dom_count[joint] -= np.repeat(copies, copies).astype(itype)
+    dom_count[nan] = 0
+    # Copies share a front, so le[front] is exactly the front's
+    # dominance over the rows not yet peeled.
+    rank = np.full(n, -1)
     front = np.flatnonzero(dom_count == 0)
-    level = 0
-    while front.size:
+    level = done = 0
+    while True:
         rank[front] = level
-        dom_count -= dominates[front].sum(axis=0, dtype=np.int32)
+        done += front.size
+        if done >= k:
+            break
+        dom_count -= le[front].sum(axis=0, dtype=itype)
         dom_count[front] = -1
         front = np.flatnonzero(dom_count == 0)
         level += 1
+    rank[rank < 0] = level + 1  # every row not peeled
 
-    # Crowding for all fronts at once: a stable sort by front turns the
-    # (value, index) order into (front, value, index) order.
-    by_front = np.argsort(rank.astype(itype)[by_value], axis=1, kind="stable")
-    order = np.take_along_axis(by_value, by_front, axis=1)
-    Gs = np.take_along_axis(Gs, by_front, axis=1)
-    fronts = np.sort(rank)
-    new = np.ones(n + 1, dtype=bool)
-    np.not_equal(fronts[1:], fronts[:-1], out=new[1:-1])
-    first, last = new[:-1], new[1:]
-    edge = first | last
-    spread = (Gs[:, last] - Gs[:, first])[:, np.cumsum(first) - 1]
-    obj, pos = np.nonzero(~edge & (spread > 0))
+    # Crowding for all fronts at once, per objective in (front, value,
+    # index) order: one stable sort by front and dense rank, with every
+    # NaN given the same rank past all values. numpy sorts 16-bit keys
+    # by radix.
+    key = rank * (n + 1) + np.where(isnan, n, R)
+    if (level + 2) * (n + 1) <= 2**15:
+        key = key.astype(np.int16)
+    order = np.argsort(key, axis=1, kind="stable")
+    Gs = G[objs, order]
+    # Each front's first and last position, and the front at each position.
+    sizes = np.bincount(rank)
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    edge = np.zeros(n, dtype=bool)
+    edge[first] = edge[last] = True
+    spread = (Gs[:, last] - Gs[:, first])[:, rank[order[0]]]
     gaps = np.zeros((m, n))
-    gaps[obj, pos] = (Gs[obj, pos + 1] - Gs[obj, pos - 1]) / spread[obj, pos]
+    inner = gaps[:, 1:-1]
+    mask = ~edge[1:-1] & (spread[:, 1:-1] > 0)
+    np.subtract(Gs[:, 2:], Gs[:, :-2], out=inner, where=mask)
+    np.divide(inner, spread[:, 1:-1], out=inner, where=mask)
     crowd = np.zeros(n)
     # Objective by objective: a boundary's inf replaces what earlier
     # objectives added, which may be NaN, and later gaps add to it.
@@ -180,8 +222,8 @@ def survival_select(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the k survivors by (front, crowding desc, index), with
     the rank and crowding each had in F."""
-    rank, crowd = rank_and_crowding(F)
-    keep = np.lexsort((np.arange(len(F)), -crowd, rank))[:k]
+    rank, crowd = rank_and_crowding(F, k)
+    keep = np.lexsort((-crowd, rank))[:k]  # stable: ties keep index order
     return keep, rank[keep], crowd[keep]
 
 
@@ -189,12 +231,9 @@ def _tournament(
     rng: np.random.Generator, rank: np.ndarray, crowd: np.ndarray, count: int
 ) -> np.ndarray:
     """Binary tournaments: `count` winners by (rank, -crowding, index)."""
-    n = len(rank)
-    picks = rng.integers(0, n, size=(count, 2))
-    a, b = picks[:, 0], picks[:, 1]
-    a_wins = (rank[a] < rank[b]) | (
-        (rank[a] == rank[b]) & (crowd[a] > crowd[b])
-    ) | ((rank[a] == rank[b]) & (crowd[a] == crowd[b]) & (a <= b))
+    a, b = rng.integers(0, len(rank), size=(count, 2)).T
+    ra, rb, ca, cb = rank[a], rank[b], crowd[a], crowd[b]
+    a_wins = (ra < rb) | ((ra == rb) & ((ca > cb) | ((ca == cb) & (a <= b))))
     return np.where(a_wins, a, b)
 
 
@@ -225,7 +264,7 @@ def moeva(
     rules = assignment_fix_rules(cs, schema.mutable)
 
     def repair(pop: np.ndarray) -> np.ndarray:
-        pop = project(pop, np.broadcast_to(z0, pop.shape), budget, schema, scaler)
+        pop = project(pop, z0[None, :], budget, schema, scaler)
         if rules:
             raw = fix(rules, scaler.inverse_transform(pop), cfg)
             pop = scaler.transform(raw)
@@ -237,7 +276,7 @@ def moeva(
         rule every stage uses)."""
         probs = model.predict_proba_scaled(pop)
         f1 = probs[:, y]
-        f2 = distance(pop, np.broadcast_to(z0, pop.shape), budget.norm)
+        f2 = distance(pop, z0[None, :], budget.norm)
         f3 = total_penalty(cs, scaler.inverse_transform(pop), cfg)
         F = np.stack([f1, f2, f3], axis=1)
         return F, probs.argmax(axis=1) != y
@@ -292,11 +331,11 @@ def moeva(
         return best
     rank, crowd = rank_and_crowding(F)
 
+    n_pairs = (budget.n_off + 1) // 2
     for _ in range(budget.n_gen):
-        n_pairs = (budget.n_off + 1) // 2
-        parents_a = _tournament(rng, rank, crowd, n_pairs)
-        parents_b = _tournament(rng, rank, crowd, n_pairs)
-        off = _crossover_batch(rng, pop[parents_a], pop[parents_b], layout)[
+        # One draw for both tournaments gives the stream of two draws.
+        parents = pop[_tournament(rng, rank, crowd, 2 * n_pairs)]
+        off = _crossover_batch(rng, parents[:n_pairs], parents[n_pairs:], layout)[
             : budget.n_off
         ]
         off = _mutate(rng, off, layout, budget, scaler)
@@ -306,9 +345,9 @@ def moeva(
 
         # One sort per generation: survivors inherit their merged-set
         # rank and crowding for the next mating selection.
-        F_merged = np.vstack([F, F_off])
+        F_merged = np.concatenate([F, F_off])
         keep, rank, crowd = survival_select(F_merged, budget.n_pop)
-        pop, F = np.vstack([pop, off])[keep], F_merged[keep]
+        pop, F = np.concatenate([pop, off])[keep], F_merged[keep]
         trace.append(tuple(F.min(axis=0)))
         if won():
             break

@@ -349,6 +349,27 @@ class TestCapgd:
             assert counts["forward"] == 2 * counts["pieces"]
             assert (counts["pieces"] == 1) == start_only
 
+    @pytest.mark.parametrize("n_iter", [1, 5, 10, 20])
+    def test_no_restart_at_the_last_checkpoint(self, n_iter, monkeypatch):
+        # A zero-weight model never improves its objective, so every
+        # checkpoint stalls; only those before the last iteration restart,
+        # each with one more objective evaluation.
+        capgd_module = importlib.import_module("tabrobust.attacks.capgd")
+        schema = continuous_schema(2)
+        model = linear_model([0.0, 0.0], 0.0, identity_scaler(2))
+        calls = [0]
+        pieces = capgd_module._objective_pieces
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return pieces(*args, **kwargs)
+
+        monkeypatch.setattr(capgd_module, "_objective_pieces", counting)
+        budget = AttackBudget(eps=0.3, n_iter_gradient=n_iter)
+        capgd(model, ConstraintSet(), np.array([[0.4, 0.6]]), np.array([1]), budget, schema)
+        restarts = [c for c in checkpoint_schedule(n_iter) if 0 < c < n_iter]
+        assert calls[0] == 1 + n_iter + len(restarts)
+
 
 class TestNondominatedSort:
     def test_simple_fronts(self):
@@ -687,6 +708,20 @@ class TestMoeva:
             assert out.trace == full.trace
             assert np.array_equal(out.candidate, full.candidate)
             assert out.misclassified == full.misclassified
+
+    @pytest.mark.parametrize("n", [37, 200, 300])
+    @pytest.mark.parametrize("pairs", [1, 50, 51])
+    def test_one_tournament_draw_gives_the_stream_of_two(self, n, pairs):
+        # The generation loop draws both parent sets at once.
+        rng = np.random.default_rng(n)
+        rank = rng.integers(0, 4, n)
+        crowd = np.where(rng.random(n) < 0.2, np.inf, rng.random(n))
+        one, two = np.random.default_rng(pairs), np.random.default_rng(pairs)
+        both = moeva_module._tournament(one, rank, crowd, 2 * pairs)
+        a = moeva_module._tournament(two, rank, crowd, pairs)
+        b = moeva_module._tournament(two, rank, crowd, pairs)
+        assert np.array_equal(both, np.concatenate([a, b]))
+        assert one.bit_generator.state == two.bit_generator.state
 
     def test_reproducible_for_fixed_seed(self):
         schema, model, cs = self.toy()

@@ -1,12 +1,13 @@
 """MOEVA's whole-array survival sort against the per-front reference in
 `tests/reference_sort.py`: ranks, crowding distances and survivors must
-be bit-identical, on tie-, duplicate-, NaN- and inf-heavy objective
-matrices and inside a full MOEVA run."""
+be bit-identical (on the fronts that survive, when the sort is bounded),
+on tie-, duplicate-, NaN- and inf-heavy objective matrices and inside a
+full MOEVA run."""
 
 import importlib
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_sort
@@ -49,6 +50,23 @@ def test_rank_crowding_and_survivors_match_reference(F, k):
     assert np.array_equal(keep_crowd, ref_crowd[ref_keep], equal_nan=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(objective_matrices(), st.integers(1, 330))
+# A chain of 300 fronts: the crowding sort's keys outgrow 16 bits.
+@example(np.column_stack([np.arange(300.0), -np.arange(300.0)[::-1]]), 300)
+def test_bounded_sort_ranks_the_fronts_that_survive(F, k):
+    with np.errstate(invalid="ignore"):
+        rank, crowd = moeva_module.rank_and_crowding(F, k)
+        ref_rank, ref_crowd = reference_sort.rank_and_crowding(F)
+    # The first fronts that hold at least k rows, or all of them.
+    last = np.searchsorted(np.cumsum(np.bincount(ref_rank, minlength=1)), min(k, len(F)))
+    peeled = ref_rank <= last
+    assert rank.dtype == ref_rank.dtype
+    assert np.array_equal(rank[peeled], ref_rank[peeled])
+    assert np.array_equal(crowd[peeled], ref_crowd[peeled], equal_nan=True)
+    assert np.all(rank[~peeled] == last + 1)
+
+
 def test_moeva_run_matches_reference_sort(small_bench, monkeypatch):
     model, dataset, schema, cs = small_bench
     budget = AttackBudget(eps=0.5, n_gen=8, n_pop=30, n_off=20, seed=4)
@@ -58,9 +76,9 @@ def test_moeva_run_matches_reference_sort(small_bench, monkeypatch):
     def run(sort):
         calls = [0]
 
-        def counting(F):
+        def counting(F, k=None):
             calls[0] += 1
-            return sort(F)
+            return sort(F, k)
 
         monkeypatch.setattr(moeva_module, "rank_and_crowding", counting)
         outs = []
@@ -77,7 +95,9 @@ def test_moeva_run_matches_reference_sort(small_bench, monkeypatch):
         return outs
 
     outs = run(moeva_module.rank_and_crowding)
-    refs = run(reference_sort.rank_and_crowding)
+    # The reference ranks every front: survival takes its survivors from
+    # the first ones, so bounding the sort must not change a bit.
+    refs = run(lambda F, k: reference_sort.rank_and_crowding(F))
     for out, ref in zip(outs, refs):
         assert np.array_equal(out.candidate, ref.candidate)
         assert (out.misclassified, out.success) == (ref.misclassified, ref.success)
