@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from ..data import is_number
@@ -53,16 +53,9 @@ class AttackBudget:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "eps": self.eps,
-            "n_iter_gradient": self.n_iter_gradient,
-            "n_gen": self.n_gen,
-            "n_off": self.n_off,
-            "n_pop": self.n_pop,
-            "seed": self.seed,
-            "lambda": self.lam,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackBudget":

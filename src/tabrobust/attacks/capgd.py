@@ -36,7 +36,7 @@ from ..engine import (
 from ..expressions import ConstraintSet
 from ..mlp import ReferenceModel, cross_entropy
 from .budget import AttackBudget, checkpoint_schedule
-from .projection import distance, project
+from .projection import distance, in_ball_and_box, project
 
 ALPHA_MOMENTUM = 0.75
 RHO_HALVING = 0.75
@@ -95,47 +95,25 @@ def capgd(
     n = Z0.shape[0]
     scaler = model.scaler
 
-    # Candidate ranking key, lexicographic minimization.
-    def candidate_key(mis, pen, dist):
-        return np.stack([(~mis).astype(float), pen, dist], axis=1)
-
     lam = np.full(n, budget.lam)
     obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
     best_cand = Z0.copy()
-    best_key = candidate_key(mis0, pen0, np.zeros(n))
+    best_key = np.full((n, 3), np.inf)  # above every key: Z0's offer wins
 
+    def offer(z, mis, pen, dist, eligible) -> None:
+        """Keep eligible rows of z whose key is lexicographically below the best's."""
+        key = np.stack([(~mis).astype(float), pen, dist], axis=1)
+        better = _lex_less(key, best_key) & eligible
+        best_cand[better] = z[better]
+        best_key[better] = key[better]
+
+    offer(Z0, mis0, pen0, np.zeros(n), True)
     if budget.eps == 0:
         return GradientAttackOutput(candidates=best_cand, misclassified=mis0)
 
     eta = np.full(n, 2.0 * budget.eps / budget.n_iter_gradient)
     checkpoints = checkpoint_schedule(budget.n_iter_gradient)[:-1]
     rules = assignment_fix_rules(cs, schema.mutable)
-
-    def offer_repaired(z_batch: np.ndarray) -> None:
-        """Let each iterate's repaired variant compete as a candidate.
-
-        The iteration itself is untouched; repair only widens the pool
-        the best candidate is drawn from, and only with variants that
-        stay inside the ball and box.
-        """
-        raw_fixed = fix(rules, scaler.inverse_transform(z_batch), cfg)
-        z_fixed = scaler.transform(raw_fixed)
-        z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
-        changed = np.any(z_fixed != z_batch, axis=1)
-        if not np.any(changed):
-            return
-        dist_f = distance(z_fixed, Z0, budget.norm)
-        in_ball = dist_f <= budget.eps + 1e-9
-        in_box = np.all((z_fixed >= -1e-12) & (z_fixed <= 1.0 + 1e-12), axis=1)
-        eligible = changed & in_ball & in_box
-        if not np.any(eligible):
-            return
-        pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed), cfg)
-        mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
-        key_f = candidate_key(mis_f, pen_f, dist_f)
-        better = _lex_less(key_f, best_key) & eligible
-        best_cand[better] = z_fixed[better]
-        best_key[better] = key_f[better]
 
     z_cur = Z0.copy()
     z_prev = Z0.copy()
@@ -155,13 +133,19 @@ def capgd(
         obj_next, grad_next, pen_next, mis_next = _objective_pieces(
             model, cs, scaler, z_next, y, lam, cfg
         )
-        dist_next = distance(z_next, Z0, budget.norm)
-        key_next = candidate_key(mis_next, pen_next, dist_next)
-        better = _lex_less(key_next, best_key)
-        best_cand[better] = z_next[better]
-        best_key[better] = key_next[better]
+        offer(z_next, mis_next, pen_next, distance(z_next, Z0, budget.norm), True)
         if rules:
-            offer_repaired(z_next)
+            # The repaired iterate competes too if it moved and stays in
+            # the ball and box; the ascent goes on from the unrepaired one.
+            z_fixed = scaler.transform(fix(rules, scaler.inverse_transform(z_next), cfg))
+            z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
+            dist_f = distance(z_fixed, Z0, budget.norm)
+            moved = np.any(z_fixed != z_next, axis=1)
+            eligible = moved & in_ball_and_box(z_fixed, dist_f, budget.eps)
+            if np.any(eligible):
+                pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed), cfg)
+                mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
+                offer(z_fixed, mis_f, pen_f, dist_f, eligible)
 
         improvements += obj_next > obj_cur
         gained = obj_next > best_obj

@@ -57,7 +57,7 @@ from ..engine import (
 from ..expressions import ConstraintSet
 from ..mlp import ReferenceModel
 from .budget import AttackBudget
-from .projection import distance, project
+from .projection import distance, in_ball_and_box, project
 from .validation import validity_mask
 
 MUTATION_PROB = 0.2
@@ -297,13 +297,8 @@ def moeva(
 
     def consider(pop_arr: np.ndarray, F_arr: np.ndarray, mis: np.ndarray) -> None:
         nonlocal best_key, best
-        in_box = np.all((pop_arr >= -1e-12) & (pop_arr <= 1.0 + 1e-12), axis=1)
-        feasible = (
-            (F_arr[:, 1] <= budget.eps + 1e-9)
-            & (F_arr[:, 2] <= cfg.tolerance)
-            & in_box
-        )
-        succ = mis & feasible
+        feasible = in_ball_and_box(pop_arr, F_arr[:, 1], budget.eps)
+        succ = mis & feasible & (F_arr[:, 2] <= cfg.tolerance)
         # Successes rank before everything else, then (f3, f1, f2).
         keys = np.column_stack([~succ, F_arr[:, 2], F_arr[:, 0], F_arr[:, 1]])
         order = np.lexsort((keys[:, 3], keys[:, 2], keys[:, 1], keys[:, 0]))

@@ -10,6 +10,10 @@ re-checks.
 Snapping works over the schema's one-hot layout: one argmax per
 distinct group size (first maximum, or first NaN, wins), then each group
 column is set to whether its position is its group's winner.
+
+The slacks of the ball and box tests live here: `DISTANCE_SLACK`, which
+validation shares, and `BOX_SLACK`. Both attacks test candidates with
+`in_ball_and_box`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import numpy as np
 
 from ..data import DatasetSchema, MinMaxScaler
 from .budget import AttackBudget
+
+DISTANCE_SLACK = 1e-9  # scaled units
+BOX_SLACK = 1e-12  # scaled units; validation's BOUNDS_SLACK is in raw units
 
 
 def distance(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
@@ -30,6 +37,12 @@ def distance(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
     else:
         raise ValueError(f"unsupported norm {norm!r}")
     return d if np.asarray(a).ndim == 2 else d[0]
+
+
+def in_ball_and_box(Z: np.ndarray, dist: np.ndarray, eps: float) -> np.ndarray:
+    """Rows of Z (at distances `dist`) in the eps-ball and [0, 1] box, up to the slacks."""
+    in_box = np.all((Z >= -BOX_SLACK) & (Z <= 1.0 + BOX_SLACK), axis=1)
+    return (dist <= eps + DISTANCE_SLACK) & in_box
 
 
 def _ball_project(

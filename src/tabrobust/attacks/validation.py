@@ -6,6 +6,10 @@ one-hot typing, and satisfies the constraint set at the configured
 tolerance. Attacks use this to finalize results; the harness re-runs it
 on everything reported as a success, so no invalid example can reach a
 report.
+
+The ball's tolerance, `DISTANCE_SLACK`, lives in `projection` beside
+the attacks' own ball-and-box test; `BOUNDS_SLACK` widens the schema's
+bounds in raw feature units.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from ..data import DatasetSchema, MinMaxScaler, fits_schema
 from ..engine import PenaltyConfig, check
 from ..expressions import ConstraintSet
 from .budget import AttackBudget
-from .projection import distance
+from .projection import DISTANCE_SLACK, distance
 
-DISTANCE_SLACK = 1e-9
 BOUNDS_SLACK = 1e-9  # raw feature units
 
 

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks.budget import AttackBudget
+from .attacks.budget import NORMS, AttackBudget
 from .data import DataError, load_dataset, save_dataset
-from .defense import ATConfig, AugmentConfig, adversarial_train, augment_dataset
+from .defense import AUGMENT_METHODS, ATConfig, AugmentConfig, adversarial_train, augment_dataset
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, check
-from .harness import SweepSpec, evaluate
+from .harness import SWEEP_AXES, SweepSpec, evaluate
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, TrainingDiverged, train
 from .parser import load_constraints, save_constraints
-from .report import emit_report, load_report, merge_leaderboard, write_leaderboard
+from .report import REPORT_FORMATS, emit_report, load_report, merge_leaderboard, write_leaderboard
 from .synth import SyntheticSpec, generate_synthetic
 
 
@@ -130,24 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("advtrain", help="adversarially train the classifier")
     _add_train_flags(p)
     p.add_argument("--eps", type=float)
-    p.add_argument("--norm", choices=("L2", "Linf"))
+    p.add_argument("--norm", choices=NORMS)
     p.add_argument("--inner-iters", type=int)
     p.add_argument("--replay", type=float)
-    p.add_argument("--augment", choices=("none", "cutmix"), default="none")
+    p.add_argument("--augment", choices=AUGMENT_METHODS, default="none")
     p.add_argument("--augment-ratio", type=float)
 
     p = subs.add_parser("attack", help="evaluate robust accuracy under attack")
     _add_attack_flags(p)
     p.add_argument("--eps", type=float)
-    p.add_argument("--norm", choices=("L2", "Linf"))
+    p.add_argument("--norm", choices=NORMS)
     p.add_argument("--gradient-iters", type=int)
     p.add_argument("--n-gen", type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
 
     p = subs.add_parser("sweep", help="robust accuracy across an attack budget axis")
     _add_attack_flags(p)
-    p.add_argument("--axis", choices=("eps", "gradient_iters", "search_iters"),
-                   required=True)
+    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", help="comma-separated budget values")
 
     p = subs.add_parser("report", help="merge report JSONs into a leaderboard CSV")
@@ -231,6 +230,11 @@ def cmd_evaluate(args) -> int:
     _require_file(args.model, "model")
     dataset, schema, cs = _load_bundle(args)
     model = ReferenceModel.load(args.model)
+    if model.n_features != schema.n_features:
+        raise DataError(
+            f"model {args.model} takes {model.n_features} features, "
+            f"but the schema has {schema.n_features}"
+        )
     budget, cfg = _attack_budget(args)
     if args.command == "attack":
         sweep, out, fmt = None, args.out or "report.json", args.format

@@ -225,14 +225,15 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
+        y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2:
             raise DataError("X must be a 2-d matrix")
-        if self.y.shape != (self.X.shape[0],):
+        if y.shape != (self.X.shape[0],):
             raise DataError("y length must match X rows")
-        labels = set(np.unique(self.y).tolist())
-        if not labels <= {0, 1}:
-            raise DataError(f"labels must be binary, got {sorted(labels)}")
+        bad = (y != 0) & (y != 1)
+        if bad.any():
+            raise DataError(f"labels must be binary, 0 or 1, got {float(y[bad][0])}")
+        self.y = y.astype(int)
 
     @property
     def n_rows(self) -> int:
@@ -324,13 +325,12 @@ def load_dataset(
     if not rows:
         raise DataError(f"{csv_path}: no rows")
     arr = np.array(rows, dtype=float)
-    X, y_raw = arr[:, :-1], arr[:, -1]
-    if np.any(np.abs(y_raw - np.round(y_raw)) > 0) or not set(
-        np.unique(y_raw.astype(int)).tolist()
-    ) <= {0, 1}:
-        raise DataError(f"{csv_path}: labels must be 0 or 1")
-    validate_against_schema(X, schema)
-    return Dataset(X, y_raw.astype(int)), schema
+    try:
+        dataset = Dataset(arr[:, :-1], arr[:, -1])
+    except DataError as e:
+        raise DataError(f"{csv_path}: {e}") from None
+    validate_against_schema(dataset.X, schema)
+    return dataset, schema
 
 
 def save_dataset(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, fits_schema
+from .data import Dataset, DatasetSchema, fits_schema, is_number
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
@@ -35,6 +36,8 @@ from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
 logger = logging.getLogger(__name__)
 
 CUTMIX_MAX_RETRIES = 100
+
+AUGMENT_METHODS = ("none", "cutmix")
 
 
 @dataclass
@@ -44,10 +47,12 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("none", "cutmix"):
+        if self.method not in AUGMENT_METHODS:
             raise ValueError(f"unknown augmentation method {self.method!r}")
-        if not (math.isfinite(self.ratio) and self.ratio >= 0):
-            raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio}")
+        if not (is_number(self.ratio) and math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio!r}")
+        if not is_number(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -58,8 +63,8 @@ class ATConfig:
     replay_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.replay_fraction <= 1.0:
-            raise ValueError("replay_fraction must be in [0, 1]")
+        if not (is_number(self.replay_fraction) and 0.0 <= self.replay_fraction <= 1.0):
+            raise ValueError(f"replay_fraction must be in [0, 1], got {self.replay_fraction!r}")
 
 
 def cutmix_tabular(

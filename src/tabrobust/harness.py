@@ -30,12 +30,12 @@ from .report import BudgetEntry, EvaluationReport
 
 DEFAULT_ATTACK_CAP = 500
 
-SWEEP_AXES = ("eps", "gradient_iters", "search_iters")
-
-SWEEP_DEFAULTS = {
-    "eps": [0.25, 0.5, 1.0, 5.0],
-    "gradient_iters": [5, 10, 20, 100],
-    "search_iters": [50, 100, 200, 1000],
+# Sweep axis -> (the AttackBudget field it sets, its default values). eps
+# is the one real-valued axis: an axis takes its defaults' type.
+SWEEP_AXES = {
+    "eps": ("eps", (0.25, 0.5, 1.0, 5.0)),
+    "gradient_iters": ("n_iter_gradient", (5, 10, 20, 100)),
+    "search_iters": ("n_gen", (50, 100, 200, 1000)),
 }
 
 
@@ -46,14 +46,15 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
+        _, defaults = SWEEP_AXES[self.axis]
         if not self.values:
-            self.values = list(SWEEP_DEFAULTS[self.axis])
+            self.values = list(defaults)
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ValueError("sweep values must be finite and positive")
         if len(set(map(float, self.values))) < len(self.values):
             raise ValueError(f"sweep values must not repeat, got {self.values}")
-        if self.axis != "eps" and not all(float(v).is_integer() for v in self.values):
+        if type(defaults[0]) is int and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"{self.axis} sweep values must be integers")
 
 
@@ -123,14 +124,6 @@ def success_masks(
     return constrained, unconstrained
 
 
-def _budget_for(base: AttackBudget, axis: str, value: float) -> AttackBudget:
-    if axis == "eps":
-        return base.with_(eps=float(value))
-    if axis == "gradient_iters":
-        return base.with_(n_iter_gradient=int(value))
-    return base.with_(n_gen=int(value))
-
-
 def _attack_budgets(
     model: ReferenceModel,
     cs: ConstraintSet,
@@ -152,17 +145,16 @@ def _attack_budgets(
     stay inside the larger ball).
     """
     if sweep is None:
-        points = [("eps", budget.eps, budget)]
+        axis, points = "eps", [(budget.eps, budget)]
     else:
-        points = [
-            (sweep.axis, float(v), _budget_for(budget, sweep.axis, v))
-            for v in sorted(sweep.values)
-        ]
+        axis, (name, defaults) = sweep.axis, SWEEP_AXES[sweep.axis]
+        points = [(float(v), budget.with_(**{name: type(defaults[0])(v)}))
+                  for v in sorted(sweep.values)]
     Z = model.scaler.transform(dataset.X[indices])
     y = dataset.y[indices]
     pool: dict[int, np.ndarray] = {}
     entries, results = [], []
-    for axis, value, point in points:
+    for value, point in points:
         result = caa(
             model, cs, Z, y, point, schema,
             cfg=cfg, row_indices=indices, known_candidates=pool,

@@ -17,6 +17,8 @@ from .data import DataError, is_number, json_field
 
 REPORT_VERSION = 1
 
+REPORT_FORMATS = ("json", "csv")
+
 # JSON types of the field annotations read by `from_dict`.
 JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict, "dict[str, float]": dict}
 
@@ -152,13 +154,12 @@ def _write_csv(path: Union[str, Path], columns, rows: list[dict]) -> None:
 def emit_report(
     report: EvaluationReport, path: Union[str, Path], format: str = "json"
 ) -> None:
-    path = Path(path)
-    if format == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    elif format == "csv":
-        _write_csv(path, REPORT_COLUMNS, report_rows(report))
-    else:
+    if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
+    if format == "json":
+        Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    else:
+        _write_csv(path, REPORT_COLUMNS, report_rows(report))
 
 
 def report_rows(report: EvaluationReport) -> list[dict]:

@@ -20,11 +20,12 @@ Feature layout (raw units):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler
+from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler, is_number
 from .engine import PenaltyConfig, check
 from .expressions import ConstraintSet
 from .parser import parse_constraint
@@ -51,11 +52,15 @@ class SyntheticSpec:
             raise InfeasibleSpec(
                 f"unknown template {self.template!r}; pick one of {TEMPLATES}"
             )
+        for name in ("n_rows", "n_features"):
+            if not is_number(getattr(self, name), numbers.Integral):
+                raise InfeasibleSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_features < 6:
             raise InfeasibleSpec("templates need at least 6 features")
         if self.n_rows < 2:
             raise InfeasibleSpec("need at least 2 rows")
-        if not (math.isfinite(self.label_noise) and self.label_noise >= 0):
+        if not (is_number(self.label_noise) and math.isfinite(self.label_noise)
+                and self.label_noise >= 0):
             raise InfeasibleSpec(
                 f"label_noise must be finite and nonnegative, got {self.label_noise}"
             )

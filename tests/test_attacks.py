@@ -29,6 +29,7 @@ from tabrobust.attacks.moeva import (
     slot_layout,
     survival_select,
 )
+from tabrobust.attacks.projection import BOX_SLACK, DISTANCE_SLACK, in_ball_and_box
 from tabrobust.data import DatasetSchema, FeatureMetadata, MinMaxScaler
 from tabrobust.engine import PenaltyConfig
 from tabrobust.expressions import (
@@ -234,6 +235,37 @@ def identity_scaler(n):
     lo = np.zeros(n)
     hi = np.ones(n)
     return MinMaxScaler.from_bounds(lo, hi)
+
+
+class TestBallAndBox:
+    """The attacks' ball-and-box test and the re-validation agree on
+    the ball's edge, and the box's slack holds on both sides."""
+
+    schema = DatasetSchema([FeatureMetadata(f"F{i}", "continuous", 0.0, 1.0) for i in range(2)])
+
+    @pytest.mark.parametrize("norm", ["L2", "Linf"])
+    def test_ball_slack_agrees_with_validity_mask(self, norm):
+        z0, eps = np.array([[0.2, 0.3]]), 0.25
+        budget = AttackBudget(norm=norm, eps=eps)
+        scaler = MinMaxScaler.from_schema(self.schema)
+        for over, inside in ((DISTANCE_SLACK / 2, True), (2 * DISTANCE_SLACK, False)):
+            cand = z0 + [[eps + over, 0.0]]
+            dist = distance(cand, z0, norm)
+            assert in_ball_and_box(cand, dist, eps).tolist() == [inside]
+            assert validity_mask(
+                self.schema, scaler, ConstraintSet(), z0, cand, budget, PenaltyConfig(),
+                include_constraints=False,
+            ).tolist() == [inside]
+
+    def test_box_slack_on_both_sides(self):
+        Z = np.array([
+            [-BOX_SLACK / 2, 1.0 + BOX_SLACK / 2],
+            [-2 * BOX_SLACK, 0.5],
+            [0.5, 1.0 + 2 * BOX_SLACK],
+        ])
+        assert in_ball_and_box(Z, np.zeros(3), 0.0).tolist() == [True, False, False]
+        # Distance and box are both required.
+        assert not in_ball_and_box(Z[:1], np.array([2 * DISTANCE_SLACK]), 0.0)[0]
 
 
 class TestCapgd:

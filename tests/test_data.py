@@ -159,6 +159,14 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.zeros((3, 2)), np.array([0, 1]))
 
+    def test_labels_must_be_exactly_zero_or_one(self):
+        # Nothing is truncated to 0 or 1 before the check.
+        for labels in ([0.7, 1.2], [0.0, 1.5], [1.0, float("nan")], [0, -1]):
+            with pytest.raises(DataError, match="0 or 1"):
+                Dataset(np.zeros((2, 1)), labels)
+        data = Dataset(np.zeros((3, 1)), [1.0, 0.0, True])
+        assert data.y.tolist() == [1, 0, 1] and data.y.dtype.kind == "i"
+
 
 class TestValidation:
     def test_bounds_violation_names_row_and_column(self):
@@ -277,6 +285,11 @@ class TestLoadDataset:
     def test_non_binary_label(self, tmp_path):
         csv_path, schema_path = self.write(tmp_path, "a,b,c,label\n1.0,0.5,2,3\n")
         with pytest.raises(DataError, match="labels"):
+            load_dataset(csv_path, schema_path)
+
+    def test_fractional_label_names_the_file(self, tmp_path):
+        csv_path, schema_path = self.write(tmp_path, "a,b,c,label\n1.0,0.5,2,0.5\n")
+        with pytest.raises(DataError, match=r"data\.csv: labels must be binary, 0 or 1, got 0\.5"):
             load_dataset(csv_path, schema_path)
 
     def test_save_load_round_trip(self, tmp_path):

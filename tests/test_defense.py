@@ -208,6 +208,23 @@ class TestCutmix:
             AugmentConfig(ratio=ratio)
 
 
+@pytest.mark.parametrize("config, field", [
+    (AugmentConfig, "ratio"),
+    (AugmentConfig, "seed"),
+    (ATConfig, "replay_fraction"),
+    (SyntheticSpec, "n_rows"),
+    (SyntheticSpec, "n_features"),
+    (SyntheticSpec, "label_noise"),
+])
+def test_config_fields_are_type_checked(config, field):
+    # Bools and strings are never numbers; a count field takes no float.
+    counts = ("seed", "n_rows", "n_features")
+    for value in (True, "0.5", None, *((10.5, 7.0) if field in counts else ())):
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+    config(**{field: np.int64(7) if field in counts else np.float64(0.5)})
+
+
 class TestAdversarialTrain:
     def test_zero_inner_eps_equals_standard_training(self, bench):
         dataset, schema, cs = bench

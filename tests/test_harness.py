@@ -12,9 +12,11 @@ import pytest
 
 from tabrobust import harness
 from tabrobust.attacks import AttackBudget, validity_mask
+from tabrobust.attacks.budget import NORMS
 from tabrobust.cli import _FLAG_KEYS, build_parser
 from tabrobust.cli import main as cli_main
 from tabrobust.data import DataError, Dataset
+from tabrobust.defense import AUGMENT_METHODS
 from tabrobust.engine import PenaltyConfig
 from tabrobust.harness import (
     EmptyAttackSet,
@@ -25,6 +27,7 @@ from tabrobust.harness import (
     success_masks,
 )
 from tabrobust.report import (
+    REPORT_FORMATS,
     EvaluationReport,
     emit_report,
     load_report,
@@ -441,6 +444,36 @@ class TestCli:
                     assert action.default is None, (command, action.dest)
                     checked.add(action.dest)
         assert checked == set(_FLAG_KEYS)
+
+    def test_choice_lists_come_from_the_library(self):
+        subs = build_parser()._subparsers._group_actions[0].choices
+        found = {
+            (command, action.dest): action.choices
+            for command, sub in subs.items() for action in sub._actions
+            if action.choices is not None
+        }
+        expected = {
+            ("advtrain", "norm"): NORMS, ("attack", "norm"): NORMS,
+            ("advtrain", "augment"): AUGMENT_METHODS, ("attack", "format"): REPORT_FORMATS,
+            ("sweep", "axis"): harness.SWEEP_AXES,
+        }
+        assert found.keys() == expected.keys()
+        assert all(found[key] is choices for key, choices in expected.items())
+
+    def test_model_and_schema_widths_must_match(self, cli_model, tmp_path, capsys):
+        # A 6-feature model on a 7-feature dataset fails before any attack.
+        wide = tmp_path / "wide"
+        assert cli_main(
+            ["synth", "--rows", "600", "--features", "7", "--seed", "7", "--out", str(wide)]
+        ) == 0
+        for argv in (["attack"], ["sweep", "--axis", "eps", "--values", "0.5"]):
+            capsys.readouterr()
+            assert cli_main(
+                [*argv, "--model", str(cli_model), "--data", str(wide), "--cap", "3",
+                 "--out", str(tmp_path / "out")]
+            ) == 1, argv
+            assert "takes 6 features, but the schema has 7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unread_flags_exit_one(self, cli_dataset, tmp_path, capsys):
         inputs = ["--inputs", str(tmp_path / "r.json")]
