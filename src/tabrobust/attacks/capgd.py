@@ -14,6 +14,16 @@ checkpoint where the best candidate is still violating, keeping both
 objectives active. The schedule's last checkpoint is the last iteration,
 so no restart or doubling happens there: nothing would read it.
 
+Each point is scored once. An evaluation runs the MLP forward once: the
+input gradient's pass also gives the loss and the misclassification
+mask. It keeps the objective's pieces (cross-entropy, penalty and their
+input gradients) apart, and the attack stores them with the best-seen
+point, so a restart recombines them with the current penalty weight and
+calls neither the model nor the penalty. A stored row was computed at
+the same position in a batch of the same size, and no row's pieces
+depend on the other rows of its batch, so the recombined objective is
+bit-identical to evaluating the restart point again.
+
 Everything is vectorized across samples with per-sample step sizes and
 bookkeeping; the attack itself is deterministic (no random start).
 """
@@ -56,15 +66,22 @@ def _objective_pieces(
     scaler: MinMaxScaler,
     Z: np.ndarray,
     y: np.ndarray,
-    lam: np.ndarray,
     cfg: PenaltyConfig,
 ):
-    """(objective, gradient, penalty, misclassified) at Z."""
-    pen, pen_grad_raw = total_penalty_with_gradient(cs, scaler.inverse_transform(Z), cfg)
-    probs = model.predict_proba_scaled(Z)
-    obj = cross_entropy(probs, y) - lam * pen
-    grad = model.input_gradient(Z, y) - lam[:, None] * (pen_grad_raw * scaler.width_)
-    return obj, grad, pen, probs.argmax(axis=1) != y
+    """(pieces, misclassified, raw Z) at Z, from one penalty call and one
+    forward pass. The pieces are per-row cross-entropy, penalty, the
+    cross-entropy's input gradient and the penalty's, in scaled space."""
+    X = scaler.inverse_transform(Z)
+    pen, pen_grad_raw = total_penalty_with_gradient(cs, X, cfg)
+    ce_grad, probs = model.input_gradient(Z, y, with_proba=True)
+    pieces = (cross_entropy(probs, y), pen, ce_grad, pen_grad_raw * scaler.width_)
+    return pieces, probs.argmax(axis=1) != y, X
+
+
+def _objective(pieces, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(objective, gradient) of CE - lam * penalty from its pieces."""
+    ce, pen, ce_grad, pen_grad = pieces
+    return ce - lam * pen, ce_grad - lam[:, None] * pen_grad
 
 
 def _step_direction(grad: np.ndarray, norm: str) -> np.ndarray:
@@ -96,7 +113,7 @@ def capgd(
     scaler = model.scaler
 
     lam = np.full(n, budget.lam)
-    obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
+    pieces, mis0, _ = _objective_pieces(model, cs, scaler, Z0, y, cfg)
     best_cand = Z0.copy()
     best_key = np.full((n, 3), np.inf)  # above every key: Z0's offer wins
 
@@ -107,7 +124,7 @@ def capgd(
         best_cand[better] = z[better]
         best_key[better] = key[better]
 
-    offer(Z0, mis0, pen0, np.zeros(n), True)
+    offer(Z0, mis0, pieces[1], np.zeros(n), True)
     if budget.eps == 0:
         return GradientAttackOutput(candidates=best_cand, misclassified=mis0)
 
@@ -117,9 +134,10 @@ def capgd(
 
     z_cur = Z0.copy()
     z_prev = Z0.copy()
-    obj_cur = obj
-    best_obj = obj.copy()
+    obj_cur, grad = _objective(pieces, lam)
+    best_obj = obj_cur.copy()
     best_obj_point = Z0.copy()
+    best_pieces = [a.copy() for a in pieces]
     improvements = np.zeros(n)
     prev_checkpoint = 0
 
@@ -130,14 +148,13 @@ def capgd(
         )
         z_next = project(blended, Z0, budget, schema, scaler)
 
-        obj_next, grad_next, pen_next, mis_next = _objective_pieces(
-            model, cs, scaler, z_next, y, lam, cfg
-        )
-        offer(z_next, mis_next, pen_next, distance(z_next, Z0, budget.norm), True)
+        pieces, mis_next, x_next = _objective_pieces(model, cs, scaler, z_next, y, cfg)
+        obj_next, grad_next = _objective(pieces, lam)
+        offer(z_next, mis_next, pieces[1], distance(z_next, Z0, budget.norm), True)
         if rules:
             # The repaired iterate competes too if it moved and stays in
             # the ball and box; the ascent goes on from the unrepaired one.
-            z_fixed = scaler.transform(fix(rules, scaler.inverse_transform(z_next), cfg))
+            z_fixed = scaler.transform(fix(rules, x_next, cfg))
             z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
             dist_f = distance(z_fixed, Z0, budget.norm)
             moved = np.any(z_fixed != z_next, axis=1)
@@ -151,6 +168,8 @@ def capgd(
         gained = obj_next > best_obj
         best_obj_point[gained] = z_next[gained]
         best_obj[gained] = obj_next[gained]
+        for stored, new in zip(best_pieces, pieces):
+            stored[gained] = new[gained]
 
         z_prev, z_cur = z_cur, z_next
         obj_cur = obj_next
@@ -160,14 +179,13 @@ def capgd(
             interval = it - prev_checkpoint
             stalled = improvements < RHO_HALVING * interval
             if np.any(stalled):
+                # Back to the best-seen point, scored from its stored pieces.
                 eta[stalled] *= 0.5
                 z_cur = z_cur.copy()
                 z_cur[stalled] = best_obj_point[stalled]
                 z_prev = z_prev.copy()
                 z_prev[stalled] = best_obj_point[stalled]
-                obj_s, grad_s, _, _ = _objective_pieces(
-                    model, cs, scaler, z_cur, y, lam, cfg
-                )
+                obj_s, grad_s = _objective(best_pieces, lam)
                 obj_cur = np.where(stalled, obj_s, obj_cur)
                 grad = np.where(stalled[:, None], grad_s, grad)
             still_violating = best_key[:, 1] > cfg.tolerance

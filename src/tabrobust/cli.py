@@ -96,6 +96,12 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_config(args, [f.name for f in fields(TrainConfig)]))
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", required=True, help="dataset directory or CSV")
     sub.add_argument("--epochs", type=int)
@@ -155,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     # The shared flags, each on the subcommands whose handler reads it.
     for commands, flag, kwargs in (
         ("synth train advtrain attack sweep report", "--out", {"help": "output path"}),
-        ("synth train advtrain attack sweep", "--seed", {"type": int, "help": "master seed"}),
+        ("synth train advtrain attack sweep", "--seed",
+         {"type": _nonnegative_int, "help": "master seed"}),
         ("synth train advtrain attack sweep", "--schema",
          {"help": "schema JSON (defaults to <data>/schema.json)"}),
         ("train advtrain attack sweep", "--config", {"help": "JSON config file"}),

@@ -51,8 +51,8 @@ class AugmentConfig:
             raise ValueError(f"unknown augmentation method {self.method!r}")
         if not (is_number(self.ratio) and math.isfinite(self.ratio) and self.ratio >= 0):
             raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio!r}")
-        if not is_number(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass

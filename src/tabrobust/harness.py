@@ -50,6 +50,8 @@ class SweepSpec:
         _, defaults = SWEEP_AXES[self.axis]
         if not self.values:
             self.values = list(defaults)
+        if not all(is_number(v) for v in self.values):
+            raise ValueError(f"{self.axis} sweep values must be real numbers, got {self.values!r}")
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ValueError("sweep values must be finite and positive")
         if len(set(map(float, self.values))) < len(self.values):

@@ -56,6 +56,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("epochs must be >= 0 and batch size positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -119,17 +121,19 @@ class ReferenceModel:
         return self.predict_proba(X).argmax(axis=1)
 
     def loss_and_gradients(
-        self, Z: np.ndarray, y: np.ndarray
-    ) -> tuple[float, list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Mean cross-entropy plus gradients w.r.t. weights, biases, input."""
+        self, Z: np.ndarray, y: np.ndarray, with_input: bool = True
+    ) -> tuple[float, list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
+        """Mean cross-entropy plus gradients w.r.t. weights, biases, input;
+        the input gradient is None unless `with_input`."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=int))
         probs, acts = self._forward(Z)
         loss = float(np.mean(cross_entropy(probs, y)))
-        return (loss, *self._backward(probs, acts, y, with_params=True))
+        return (loss, *self._backward(probs, acts, y, with_params=True, with_input=with_input))
 
-    def input_gradient(self, Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d(mean cross-entropy)/dZ in scaled space, per row.
+    def input_gradient(self, Z: np.ndarray, y: np.ndarray, with_proba: bool = False):
+        """d(mean cross-entropy)/dZ in scaled space, per row; with
+        `with_proba`, (gradient, probabilities) from the one forward pass.
 
         Per-row gradients are returned unaveraged, i.e. each row is the
         gradient of its own sample's loss. No parameter gradient is built.
@@ -137,13 +141,16 @@ class ReferenceModel:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=int))
         probs, acts = self._forward(Z)
-        return self._backward(probs, acts, y, with_params=False)[2] * Z.shape[0]
+        grad = self._backward(probs, acts, y, with_params=False)[2] * Z.shape[0]
+        return (grad, probs) if with_proba else grad
 
     def _backward(
-        self, probs: np.ndarray, acts: list[np.ndarray], y: np.ndarray, with_params: bool
-    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        self, probs: np.ndarray, acts: list[np.ndarray], y: np.ndarray, with_params: bool,
+        with_input: bool = True,
+    ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
         """(weight, bias, input) gradients of the mean cross-entropy; the
-        parameter lists stay empty unless `with_params`."""
+        parameter lists stay empty unless `with_params`, and the input
+        gradient is None unless `with_input`."""
         n = len(probs)
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
@@ -156,7 +163,7 @@ class ReferenceModel:
                 grads_b.insert(0, delta.sum(axis=0))
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        return grads_w, grads_b, delta @ self.weights[0].T
+        return grads_w, grads_b, delta @ self.weights[0].T if with_input else None
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -290,7 +297,7 @@ def train(
             Zb, yb = Z_train[batch], y_train[batch]
             if batch_hook is not None:
                 Zb = batch_hook(Zb, yb, epoch)
-            loss, gw, gb, _ = model.loss_and_gradients(Zb, yb)
+            loss, gw, gb, _ = model.loss_and_gradients(Zb, yb, with_input=False)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite training loss at epoch {epoch}, step {step}"

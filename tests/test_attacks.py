@@ -322,9 +322,9 @@ class TestCapgd:
         out2 = capgd(model, cs, Z, dataset.y[idx], budget, schema)
         assert np.array_equal(out1.candidates, out2.candidates)
 
-    def test_two_forward_passes_per_objective_evaluation(self, small_bench, monkeypatch):
-        # One probability pass gives the loss and the misclassification
-        # mask; the input gradient makes the other.
+    def test_one_forward_pass_per_objective_evaluation(self, small_bench, monkeypatch):
+        # The input gradient's pass also gives the loss and the
+        # misclassification mask, and restarts make no evaluation.
         capgd_module = importlib.import_module("tabrobust.attacks.capgd")
         model, dataset, schema, cs = small_bench
         forwards = [0]
@@ -348,8 +348,7 @@ class TestCapgd:
         idx = select_attack_set(model, dataset, schema, cap=5, seed=0)
         capgd(model, cs, model.scaler.transform(dataset.X[idx]), dataset.y[idx],
               budget, schema)
-        assert len(per_call) > budget.n_iter_gradient
-        assert per_call == [2] * len(per_call)
+        assert per_call == [1] * (1 + budget.n_iter_gradient)
 
     def test_start_point_scored_once(self, monkeypatch):
         # Without fix rules, every penalty and forward pass is made by
@@ -378,29 +377,36 @@ class TestCapgd:
             counts.update(dict.fromkeys(counts, 0))
             capgd(model, cs, z, np.array([0, 0]), AttackBudget(eps=eps), schema)
             assert counts["total_penalty"] == 0
-            assert counts["forward"] == 2 * counts["pieces"]
+            assert counts["forward"] == counts["pieces"]
             assert (counts["pieces"] == 1) == start_only
 
     @pytest.mark.parametrize("n_iter", [1, 5, 10, 20])
     def test_no_restart_at_the_last_checkpoint(self, n_iter, monkeypatch):
         # A zero-weight model never improves its objective, so every
-        # checkpoint stalls; only those before the last iteration restart,
-        # each with one more objective evaluation.
+        # checkpoint stalls; only those before the last iteration restart.
+        # Points are evaluated once each, the start and every iterate; a
+        # restart only recombines the best point's stored pieces.
         capgd_module = importlib.import_module("tabrobust.attacks.capgd")
         schema = continuous_schema(2)
         model = linear_model([0.0, 0.0], 0.0, identity_scaler(2))
-        calls = [0]
-        pieces = capgd_module._objective_pieces
+        calls = {"_objective_pieces": 0, "_objective": 0}
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return pieces(*args, **kwargs)
+        def counting(name):
+            fn = getattr(capgd_module, name)
 
-        monkeypatch.setattr(capgd_module, "_objective_pieces", counting)
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(capgd_module, name, counting(name))
         budget = AttackBudget(eps=0.3, n_iter_gradient=n_iter)
         capgd(model, ConstraintSet(), np.array([[0.4, 0.6]]), np.array([1]), budget, schema)
         restarts = [c for c in checkpoint_schedule(n_iter) if 0 < c < n_iter]
-        assert calls[0] == 1 + n_iter + len(restarts)
+        assert calls["_objective_pieces"] == 1 + n_iter
+        assert calls["_objective"] == 1 + n_iter + len(restarts)
 
 
 class TestNondominatedSort:

@@ -208,6 +208,12 @@ class TestCutmix:
             AugmentConfig(ratio=ratio)
 
 
+def test_negative_augment_seed_rejected():
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            AugmentConfig(seed=seed)
+
+
 @pytest.mark.parametrize("config, field", [
     (AugmentConfig, "ratio"),
     (AugmentConfig, "seed"),

@@ -190,6 +190,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(axis="eps", values=[float("nan"), 0.5])
 
+    def test_values_must_be_real_numbers(self):
+        # A bool is not a number (True would sweep eps 1.0), nor is a string.
+        for axis, values in (("eps", [True, 0.5]), ("eps", ["0.5"]),
+                             ("gradient_iters", [5, None])):
+            with pytest.raises(ValueError, match=f"{axis} sweep values must be real numbers"):
+                SweepSpec(axis=axis, values=values)
+
     def test_repeated_values_rejected(self):
         for axis, values in (("eps", [0.5, 0.25, 0.5]), ("gradient_iters", [5, 5.0])):
             with pytest.raises(ValueError, match="sweep values must not repeat"):
@@ -404,6 +411,24 @@ class TestCli:
             ) == 1, (command, text)
             assert message in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_negative_seed_exits_one(self, cli_dataset, cli_model, tmp_path, capsys):
+        # The flag is named, not left to numpy's generator.
+        for command, extra in (("synth", []), ("train", ["--data", str(cli_dataset)]),
+                               ("advtrain", ["--data", str(cli_dataset)]),
+                               ("attack", ["--data", str(cli_dataset), "--model", str(cli_model)])):
+            capsys.readouterr()
+            assert cli_main([command, *extra, "--seed", "-1",
+                             "--out", str(tmp_path / "out")]) == 1, command
+            assert "argument --seed: must be a nonnegative integer, got '-1'" in (
+                capsys.readouterr().err
+            )
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": -1}')
+        assert cli_main(["train", "--data", str(cli_dataset), "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_schema_exits_one(self, cli_dataset, tmp_path, capsys):
         schema = json.loads((cli_dataset / "schema.json").read_text())

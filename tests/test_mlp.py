@@ -222,6 +222,12 @@ class TestTrainConfig:
         cfg = TrainConfig(epochs=np.int64(2), seed=np.uint32(3), learning_rate=np.float32(0.01))
         assert cfg.epochs == 2 and cfg.seed == 3
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator would refuse it later without naming the field.
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match="seed must be nonnegative"):
+                TrainConfig(seed=seed)
+
 
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):

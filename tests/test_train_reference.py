@@ -133,3 +133,27 @@ def test_input_gradient_matches_training_backward(small_bench, n):
     assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
     assert np.array_equal(grad_input, ref_grad_input)
     assert np.array_equal(model.input_gradient(Z, y), grad_input * n)
+
+
+def test_training_skips_the_input_gradient(small_bench, data, monkeypatch):
+    # Training asks for no input gradient; the parameter gradients are
+    # those of the full backward pass bit for bit.
+    model, dataset, _, _ = small_bench
+    Z = model.scaler.transform(dataset.X[:50])
+    y = dataset.y[:50]
+    loss, gw, gb, grad_input = model.loss_and_gradients(Z, y, with_input=False)
+    ref_loss, ref_gw, ref_gb, _ = reference_train.loss_and_gradients(model, Z, y)
+    assert grad_input is None and loss == ref_loss
+    assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+
+    asked = []
+    full = ReferenceModel.loss_and_gradients
+
+    def recording(self, Z, y, with_input=True):
+        asked.append(with_input)
+        return full(self, Z, y, with_input)
+
+    monkeypatch.setattr(ReferenceModel, "loss_and_gradients", recording)
+    dataset, schema = data
+    train(ReferenceModel(schema.n_features, seed=1), dataset, TrainConfig(epochs=1), schema)
+    assert asked and not any(asked)
