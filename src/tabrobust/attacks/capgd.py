@@ -154,7 +154,7 @@ def capgd(
         if rules:
             # The repaired iterate competes too if it moved and stays in
             # the ball and box; the ascent goes on from the unrepaired one.
-            z_fixed = scaler.transform(fix(rules, x_next, cfg))
+            z_fixed = scaler.transform(fix(rules, x_next))
             z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
             dist_f = distance(z_fixed, Z0, budget.norm)
             moved = np.any(z_fixed != z_next, axis=1)
@@ -197,11 +197,13 @@ def capgd(
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b over (n, k) key matrices."""
-    out = np.zeros(a.shape[0], dtype=bool)
-    decided = np.zeros(a.shape[0], dtype=bool)
-    for j in range(a.shape[1]):
-        less = (a[:, j] < b[:, j]) & ~decided
-        out |= less
-        decided |= less | ((a[:, j] > b[:, j]) & ~decided)
-    return out
+    """Row-wise lexicographic a < b over (n, k) key matrices, in the
+    order `np.lexsort` sorts by: NaN is above every number and equal to
+    NaN. Equal keys are not less, so a tie keeps the earlier candidate.
+    Both attacks rank their best candidates by it."""
+    a_nan, b_nan = np.isnan(a), np.isnan(b)
+    less = (a < b) | (b_nan & ~a_nan)
+    differ = less | (a > b) | (a_nan & ~b_nan)
+    # The first column that differs decides; in equal keys argmax gives
+    # column 0, where `less` is False.
+    return less[np.arange(len(a)), differ.argmax(axis=1)]

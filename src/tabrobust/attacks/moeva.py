@@ -57,6 +57,7 @@ from ..engine import (
 from ..expressions import ConstraintSet
 from ..mlp import ReferenceModel
 from .budget import AttackBudget
+from .capgd import _lex_less
 from .projection import distance, in_ball_and_box, project
 from .validation import validity_mask
 
@@ -266,7 +267,7 @@ def moeva(
     def repair(pop: np.ndarray) -> np.ndarray:
         pop = project(pop, z0[None, :], budget, schema, scaler)
         if rules:
-            raw = fix(rules, scaler.inverse_transform(pop), cfg)
+            raw = fix(rules, scaler.inverse_transform(pop))
             pop = scaler.transform(raw)
             pop[:, schema.immutable] = z0[schema.immutable]
         return pop
@@ -300,11 +301,9 @@ def moeva(
         feasible = in_ball_and_box(pop_arr, F_arr[:, 1], budget.eps)
         succ = mis & feasible & (F_arr[:, 2] <= cfg.tolerance)
         # Successes rank before everything else, then (f3, f1, f2).
-        keys = np.column_stack([~succ, F_arr[:, 2], F_arr[:, 0], F_arr[:, 1]])
-        order = np.lexsort((keys[:, 3], keys[:, 2], keys[:, 1], keys[:, 0]))
-        top = order[0]
-        key = tuple(keys[top])
-        if best_key is None or key < best_key:
+        top = np.lexsort((F_arr[:, 1], F_arr[:, 0], F_arr[:, 2], ~succ))[0]
+        key = np.array([[not succ[top], F_arr[top, 2], F_arr[top, 0], F_arr[top, 1]]])
+        if best_key is None or _lex_less(key, best_key)[0]:
             best_key = key
             best = SearchAttackOutput(
                 candidate=pop_arr[top].copy(),

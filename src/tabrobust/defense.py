@@ -96,7 +96,7 @@ def cutmix_tabular(
     rules = assignment_fix_rules(cs, schema.mutable)
     bad = ~ok
     if rules and bad.any():
-        X_mix[bad] = fix(rules, X_mix[bad], cfg)
+        X_mix[bad] = fix(rules, X_mix[bad])
         ok[bad] = check(cs, X_mix[bad], cfg)
     ok &= fits_schema(X_mix, schema, 0.0)
     return X_mix[ok], y_mix[ok]

@@ -1,14 +1,13 @@
 """Constraint evaluation: penalties, satisfaction checks, repair, gradients.
 
 Every constraint maps to a nonnegative, continuous penalty that is zero
-exactly when the constraint holds (strict inequalities via a small
-margin). Conjunction adds penalties, disjunction and implication take
-the minimum branch, which keeps the whole thing piecewise-smooth and
-subgradient-friendly. Constraints compile into closures that return
-penalties and a reverse-mode backward step (see
-`tabrobust.expressions`); every function here runs those closures,
-vectorized over row-major matrices, with `PenaltyConfig.strict_margin`
-passed at call time. One constraint alone (`penalty`,
+exactly when the constraint holds (strict inequalities via the constant
+margin `expressions.STRICT_MARGIN`). Conjunction adds penalties,
+disjunction and implication take the minimum branch, which keeps the
+whole thing piecewise-smooth and subgradient-friendly. Constraints
+compile into closures that map a row-major matrix to penalties and a
+reverse-mode backward step (see `tabrobust.expressions`); every
+function here runs those closures. One constraint alone (`penalty`,
 `penalty_gradient`) is the set of that constraint.
 
 Real domains repeat a few constraint shapes over many feature groups,
@@ -30,12 +29,15 @@ one:
   it goes, and every feature receives its gradient terms in the order
   of the one-by-one loop: the plan admits a constraint to a group only
   if that holds, and starts a new group for it otherwise.
-- `fix` applies its rules in dependency levels: a rule goes one level
-  above the last earlier rule that writes a feature it reads or
-  writes, or reads its target. Rules of one level commute, so each
-  level runs one fused call per rule shape and later rules still see
-  earlier fixes. A `FixRules` tuple is planned once, when it is built;
-  `assignment_fix_rules` keeps one per set and mutable mask.
+- A fix rule is the equality `target == expr` it repairs, and reads
+  that equality's features. `fix` evaluates each expression once and
+  reassigns the target where |target - expr| > 0, applying the rules in
+  dependency levels: a rule goes one level above the last earlier rule
+  that writes a feature it reads or writes, or reads its target. Rules
+  of one level commute, so each level runs one fused call per rule
+  shape and later rules still see earlier fixes. A `FixRules` tuple is
+  planned once, when it is built; `assignment_fix_rules` keeps one per
+  set and mutable mask.
 
 Constraints are evaluated in raw (unscaled) feature units; the default
 tolerance of 1e-2 absorbs float noise after unscaling.
@@ -66,19 +68,15 @@ from .expressions import (
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """tolerance: satisfaction threshold in raw feature units;
-    strict_margin: slack turning open comparisons into closed ones."""
+    """tolerance: satisfaction threshold in raw feature units. (Strict
+    comparisons close with the constant `expressions.STRICT_MARGIN`.)"""
 
     tolerance: float = 1e-2
-    strict_margin: float = 1e-6
 
     def __post_init__(self):
         if not (is_number(self.tolerance) and math.isfinite(self.tolerance)
                 and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
-        if not (is_number(self.strict_margin) and math.isfinite(self.strict_margin)
-                and self.strict_margin > 0):
-            raise ValueError(f"strict_margin must be finite and positive, got {self.strict_margin!r}")
 
 
 DEFAULT_PENALTY_CONFIG = PenaltyConfig()
@@ -159,12 +157,12 @@ def _plan(cs: ConstraintSet) -> _Plan:
     return cs.plan
 
 
-def _walk(cs: ConstraintSet, X: np.ndarray, cfg: PenaltyConfig, grad=None) -> np.ndarray:
+def _walk(cs: ConstraintSet, X: np.ndarray, grad=None) -> np.ndarray:
     """The (n_rows, n_constraints) penalty matrix of the set on the
     matrix X; with `grad`, each group's penalty gradient is added into it."""
     P = np.empty((X.shape[0], len(cs)))
     for run, positions, width in _plan(cs).calls:
-        P[:, positions], backward = run(X, cfg.strict_margin)
+        P[:, positions], backward = run(X)
         if grad is not None:
             backward(np.ones((X.shape[0], width)), grad)
     return P
@@ -177,7 +175,7 @@ def check(
 ) -> np.ndarray:
     """Row-wise satisfaction: worst per-constraint penalty <= tolerance."""
     Xm, single = _as_matrix(X)
-    ok = _walk(cs, Xm, cfg).max(axis=1, initial=0.0) <= cfg.tolerance  # no constraints: ok
+    ok = _walk(cs, Xm).max(axis=1, initial=0.0) <= cfg.tolerance  # no constraints: ok
     return bool(ok[0]) if single else ok
 
 
@@ -189,7 +187,7 @@ def total_penalty(
     """Sum of per-constraint penalties (the attacks' aggregate loss), the
     same bits as `total_penalty_with_gradient`'s."""
     X, single = _as_matrix(x)
-    total = _walk(cs, X, cfg).sum(axis=1)
+    total = _walk(cs, X).sum(axis=1)
     return float(total[0]) if single else total
 
 
@@ -202,7 +200,7 @@ def total_penalty_with_gradient(
     is `total_penalty`'s, bit for bit."""
     X, single = _as_matrix(x)
     grad = np.zeros_like(X)
-    total = _walk(cs, X, cfg, grad).sum(axis=1)
+    total = _walk(cs, X, grad).sum(axis=1)
     return (float(total[0]), grad[0]) if single else (total, grad)
 
 
@@ -210,26 +208,27 @@ class FixRuleError(ValueError):
     """Raised when a fix constraint is not in assignment form."""
 
 
+def _is_assignment(c: Constraint) -> bool:
+    """Whether `c` is Feature(i) == expr with i absent from expr."""
+    return (isinstance(c, Relation) and c.op == "==" and isinstance(c.left, Feature)
+            and c.left.index not in features_of(c.right))
+
+
 @dataclass(frozen=True)
 class FixRule:
-    """Repair rule: when `guard` is violated, assign the fix target.
-
-    `fix` must be Relation(==, Feature(i), expr) with i absent from the
-    right-hand side.
+    """Repair rule: where the equality `fix`, Feature(i) == expr with i
+    absent from expr, is violated, assign expr to feature i. A rule is
+    guarded by the equality it repairs, so `guard` must equal `fix`.
     """
 
     guard: Constraint
     fix: Relation
 
     def __post_init__(self):
-        if not isinstance(self.fix, Relation) or self.fix.op != "==":
-            raise FixRuleError("fix constraints must be equalities")
-        if not isinstance(self.fix.left, Feature):
-            raise FixRuleError("fix constraints must assign a single feature")
-        if self.fix.left.index in features_of(self.fix.right):
-            raise FixRuleError(
-                f"fix target F{self.fix.left.index} appears on the right-hand side"
-            )
+        if not _is_assignment(self.fix):
+            raise FixRuleError("fix constraints must be Feature(i) == expr, i absent from expr")
+        if self.guard != self.fix:
+            raise FixRuleError("a fix rule's guard must be its fix constraint")
 
     @property
     def target(self) -> int:
@@ -241,15 +240,15 @@ class FixRule:
 
 
 def _plan_fix(rules: tuple) -> list:
-    """Fused calls (guard, expr, target) that apply `rules` the way the
+    """Fused calls (expr, target) that apply `rules` the way the
     one-by-one loop does; see the module docstring."""
     levels: list[dict] = []  # per level: shape -> [(rule, leaves), ...]
     written: dict[int, int] = {}  # feature -> last level writing it
     touched: dict[int, int] = {}  # feature -> last level reading or writing it
     for rule in rules:
         leaves: list[int] = []
-        key = shape_key((rule.guard, rule.fix), leaves)
-        used = set(leaves)  # the target is the fix's first leaf
+        key = shape_key((rule.fix,), leaves)
+        used = set(leaves)  # the target is the first leaf
         level = 1 + max(touched.get(rule.target, -1), *(written.get(f, -1) for f in used))
         if level == len(levels):
             levels.append({})
@@ -262,8 +261,7 @@ def _plan_fix(rules: tuple) -> list:
         for members in level.values():
             columns = _fuse([leaves for _, leaves in members])
             rule, width = members[0][0], len(members)
-            calls.append((compile_columns(rule.guard, columns, width),
-                          compile_columns(rule.expr, columns, width), columns[rule.target]))
+            calls.append((compile_columns(rule.expr, columns, width), columns[rule.target]))
     return calls
 
 
@@ -277,28 +275,27 @@ class FixRules(tuple):
         return self
 
 
-def fix(
-    rules: list[FixRule],
-    X: np.ndarray,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-) -> np.ndarray:
+def fix(rules: list[FixRule], X: np.ndarray) -> np.ndarray:
     """Apply repair rules in order; later rules see earlier fixes.
 
-    A row's target feature is reassigned only where the rule's guard is
-    violated (penalty > 0, i.e. tolerance 0 for the guard test).
+    A row's target feature is reassigned only where the rule's equality
+    is violated: |target - expr| > 0, its penalty at tolerance 0. A NaN
+    residual (NaN on either side, or inf - inf) leaves the row as it is.
     """
     Xm, single = _as_matrix(X)
     out = Xm.copy()
     calls = rules.calls if isinstance(rules, FixRules) else _plan_fix(tuple(rules))
-    for guard, expr, target in calls:
-        violated = guard(out, cfg.strict_margin)[0] > 0
+    for expr, target in calls:
+        value = expr(out)[0]
+        current = out[:, target]
+        violated = np.abs(current - value) > 0
         if np.any(violated):
-            out[:, target] = np.where(violated, expr(out)[0], out[:, target])
+            out[:, target] = np.where(violated, value, current)
     return out[0] if single else out
 
 
 def assignment_fix_rules(cs: ConstraintSet, mutable_mask: np.ndarray) -> FixRules:
-    """Derive guard==fix rules from assignment-form equality constraints.
+    """The fix rules of the set's assignment-form equalities.
 
     Skips targets flagged immutable; other constraint shapes are not
     repairable this way and are left to search. The rules of the last
@@ -308,12 +305,8 @@ def assignment_fix_rules(cs: ConstraintSet, mutable_mask: np.ndarray) -> FixRule
     mask = np.asarray(mutable_mask, dtype=bool).tobytes()
     if plan.fix_rules is None or plan.fix_rules[0] != mask:
         rules = FixRules(
-            FixRule(guard=c, fix=c)
-            for c in cs
-            if isinstance(c, Relation) and c.op == "=="
-            and isinstance(c.left, Feature)
-            and c.left.index not in features_of(c.right)
-            and mutable_mask[c.left.index]
+            FixRule(c, c) for c in cs
+            if _is_assignment(c) and mutable_mask[c.left.index]
         )
         plan.fix_rules = (mask, rules)
     return plan.fix_rules[1]

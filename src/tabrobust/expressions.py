@@ -37,6 +37,8 @@ import numpy as np
 # from below. Both keep penalties and their gradients finite everywhere.
 DIV_EPS = 1e-12
 LOG_EPS = 1e-12
+# Strict comparisons close with a margin: a < b is scored as a + STRICT_MARGIN <= b.
+STRICT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ def _extremum(layout, children, reduce, select):
     that `select` picks (argmin/argmax take the first index on ties)."""
     children = [c._compile(layout) for c in children]
 
-    def run(X, *margin):
-        vals, backs = zip(*(c(X, *margin) for c in children))
+    def run(X):
+        vals, backs = zip(*(c(X) for c in children))
         stacked = np.stack(vals)
 
         def backward(adj, grad):
@@ -287,12 +289,12 @@ class Relation(Constraint):
         equality, strict = self.op == "==", self.op in ("<", ">")
         sign = 1.0 if self.op in ("==", "<=", "<") else -1.0
 
-        def run(X, margin):
+        def run(X):
             a, back_a = left(X)
             b, back_b = right(X)
             r = a - b if sign > 0 else b - a
             if strict:
-                r = r + margin
+                r = r + STRICT_MARGIN
 
             def backward(adj, grad):
                 # Hinge: flat at the kink (the constant branch wins ties).
@@ -317,8 +319,8 @@ class And(Constraint):
     def _compile(self, layout):
         children = [c._compile(layout) for c in self.children]
 
-        def run(X, margin):
-            vals, backs = zip(*(c(X, margin) for c in children))
+        def run(X):
+            vals, backs = zip(*(c(X) for c in children))
 
             def backward(adj, grad):
                 for back in backs:
@@ -436,10 +438,10 @@ def compile_columns(node: _Node, columns: dict, width: int):
     """The closure of `node` run on column blocks: feature i of the tree
     reads X[:, columns[i]] (a `column_block` of `width` columns), so
     values, adjoints and the backward step's gradient updates are
-    (rows, width). A numeric node's closure maps X to (values, backward);
-    a constraint's maps (X, strict_margin) to (penalty, backward).
-    backward(adj, grad) adds adj * d(value)/dX into grad. The columns of
-    one block must differ, or the updates overwrite."""
+    (rows, width). Every closure maps X to (values, backward), a
+    constraint's values being its penalty; backward(adj, grad) adds
+    adj * d(value)/dX into grad. The columns of one block must differ,
+    or the updates overwrite."""
     return node._compile(_Layout(columns, width))
 
 

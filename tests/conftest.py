@@ -24,6 +24,7 @@ from tabrobust.expressions import (
     Or,
     Pow,
     Relation,
+    STRICT_MARGIN,
     SafeDiv,
     Sub,
 )
@@ -171,9 +172,9 @@ def kink_gap(node, x: np.ndarray, cfg: PenaltyConfig) -> float:
             if c.op == "==":
                 r = a - b
             elif c.op in ("<=", "<"):
-                r = a - b + (cfg.strict_margin if c.op == "<" else 0.0)
+                r = a - b + (STRICT_MARGIN if c.op == "<" else 0.0)
             else:
-                r = b - a + (cfg.strict_margin if c.op == ">" else 0.0)
+                r = b - a + (STRICT_MARGIN if c.op == ">" else 0.0)
             gaps.append(abs(r))
             return abs(r) if c.op == "==" else max(0.0, r)
         if isinstance(c, And):

@@ -111,7 +111,7 @@ def capgd(
         if rules:
             # The repaired iterate competes too if it moved and stays in
             # the ball and box; the ascent goes on from the unrepaired one.
-            z_fixed = scaler.transform(fix(rules, scaler.inverse_transform(z_next), cfg))
+            z_fixed = scaler.transform(fix(rules, scaler.inverse_transform(z_next)))
             z_fixed[:, schema.immutable] = Z0[:, schema.immutable]
             dist_f = distance(z_fixed, Z0, budget.norm)
             moved = np.any(z_fixed != z_next, axis=1)

@@ -11,6 +11,7 @@ from tabrobust.engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from tabrobust.expressions import (
     DIV_EPS,
     LOG_EPS,
+    STRICT_MARGIN,
     Abs,
     Add,
     And,
@@ -176,10 +177,10 @@ def _relation_residual(
     if c.op == "<=":
         return a - b
     if c.op == "<":
-        return a - b + cfg.strict_margin
+        return a - b + STRICT_MARGIN
     if c.op == ">=":
         return b - a
-    return b - a + cfg.strict_margin  # ">"
+    return b - a + STRICT_MARGIN  # ">"
 
 
 def _penalty_forward(

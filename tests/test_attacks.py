@@ -20,6 +20,7 @@ from tabrobust.attacks import (
     project,
     validity_mask,
 )
+from tabrobust.attacks.capgd import _lex_less
 from tabrobust.attacks.moeva import (
     MUTATION_PROB,
     SIGMA_FRACTION,
@@ -408,6 +409,23 @@ class TestCapgd:
         assert calls["_objective_pieces"] == 1 + n_iter
         assert calls["_objective"] == 1 + n_iter + len(restarts)
 
+    def test_nan_penalty_ranks_after_every_number(self):
+        # Keys (not misclassified, penalty, distance): a closer candidate
+        # with a NaN penalty does not replace a finite-penalty best, NaN
+        # ties with NaN, and equal keys keep the earlier candidate.
+        nan = np.nan
+        a = np.array([[0, nan, 0.1], [0, 0.0, 0.4], [0, nan, 0.1], [0, nan, 0.4],
+                      [1, 0.0, 0.0], [0, -0.0, 0.4], [0, np.inf, 0.4]])
+        b = np.array([[0, 0.0, 0.4], [0, nan, 0.1], [0, nan, 0.4], [0, nan, 0.4],
+                      [0, nan, 0.0], [0, 0.0, 0.4], [0, nan, 0.1]])
+        assert _lex_less(a, b).tolist() == [False, True, True, False, False, False, True]
+        # The order np.lexsort sorts by, which MOEVA ranks a population by.
+        rng = np.random.default_rng(0)
+        values = np.array([nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+        a, b = rng.choice(values, (500, 3)), rng.choice(values, (500, 3))
+        first = [np.lexsort(np.array([kb, ka]).T[::-1])[0] for ka, kb in zip(a, b)]
+        assert _lex_less(a, b).tolist() == [k == 1 for k in first]
+
 
 class TestNondominatedSort:
     def test_simple_fronts(self):
@@ -673,6 +691,37 @@ class TestMoeva:
         out = moeva(model, ConstraintSet(), np.array([0.5, 0.5]), 1, budget, schema,
                     row_seed=0)
         assert out.misclassified and out.success
+
+    def test_nan_penalty_ranks_after_every_number(self, monkeypatch):
+        # The seed population's penalties are NaN, the offspring's finite.
+        # NaN ranks last across generations as it does within one, so the
+        # best candidate is the first lexicographic minimum of (penalty,
+        # true-class probability, distance) over the offspring.
+        schema, model, cs = self.toy()
+        budget = AttackBudget(eps=0.05, n_gen=3, n_pop=8, n_off=6, seed=0)
+        z0 = np.array([0.2, 0.5])  # eps cannot reach the boundary
+        populations = []
+        total_penalty = moeva_module.total_penalty
+
+        def nan_seed_penalty(cs, X, cfg):
+            penalties = total_penalty(cs, X, cfg)
+            if not populations:
+                penalties = np.full_like(penalties, np.nan)
+            populations.append((X.copy(), penalties))
+            return penalties
+
+        monkeypatch.setattr(moeva_module, "total_penalty", nan_seed_penalty)
+        out = moeva(model, cs, z0, 0, budget, schema, row_seed=0)
+        monkeypatch.undo()
+        assert not out.misclassified and len(populations) == 1 + budget.n_gen
+        pop = np.vstack([X for X, _ in populations])  # raw is scaled here
+        f3 = np.concatenate([p for _, p in populations])
+        f1 = model.predict_proba_scaled(pop)[:, 0]
+        f2 = distance(pop, np.tile(z0, (len(pop), 1)), budget.norm)
+        best = np.lexsort((f2, f1, f3))[0]
+        # An offspring that copies no seed row.
+        assert not np.any(np.all(pop[:budget.n_pop] == pop[best], axis=1))
+        assert np.array_equal(out.candidate, pop[best])
 
     def test_best_row_is_not_evaluated_again(self, small_bench, monkeypatch):
         # One forward pass per evaluated population, the seed population

@@ -47,7 +47,7 @@ def replay_cutmix(X, y, count, rng, schema, cs, cfg):
         label = y[i] if mask.mean() >= 0.5 else y[j]
         if not check(cs, x, cfg):
             if rules:
-                x = fix(rules, x, cfg)
+                x = fix(rules, x)
             if not check(cs, x, cfg):
                 continue
         if fits_schema(x[None], schema, 0.0)[0]:

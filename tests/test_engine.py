@@ -23,6 +23,7 @@ from tabrobust.engine import (
     total_penalty_with_gradient,
 )
 from tabrobust.expressions import (
+    STRICT_MARGIN,
     And,
     Constant,
     ConstraintSet,
@@ -53,9 +54,11 @@ class TestPenalty:
             assert penalty(imp, np.array([0, -1.0, 0, 0, f4])) == 0.0
 
     def test_strict_margin_applies(self):
-        cfg = PenaltyConfig(strict_margin=0.5)
-        p = penalty(c("F0 < F1"), np.array([1.0, 1.2, 0, 0, 0]), cfg)
-        assert p == pytest.approx(0.3)
+        assert STRICT_MARGIN == 1e-6
+        # F0 < F1 is scored as F0 + STRICT_MARGIN <= F1.
+        assert penalty(c("F0 < F1"), np.array([1.0, 1.0, 0, 0, 0])) == STRICT_MARGIN
+        assert penalty(c("F0 > F1"), np.array([1.0, 1.0, 0, 0, 0])) == STRICT_MARGIN
+        assert penalty(c("F0 < F1"), np.array([1.0, 1.0 + 2 * STRICT_MARGIN, 0, 0, 0])) == 0.0
 
     def test_le_hinge(self):
         assert penalty(c("F0 <= F1"), np.array([2.0, 0.5, 0, 0, 0])) == 1.5
@@ -101,7 +104,7 @@ class TestCheck:
     def test_empty_set_accepts_everything(self):
         assert check(ConstraintSet(), np.zeros((4, 5))).all()
 
-    @pytest.mark.parametrize("field", ["tolerance", "strict_margin"])
+    @pytest.mark.parametrize("field", ["tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", True, None])
     def test_non_finite_settings_rejected(self, field, value):
         # A NaN tolerance would make `check` reject every row.
@@ -164,6 +167,15 @@ class TestFix:
         bad = c("F0 == F0 + 1", DatasetSchema.generic(3))
         with pytest.raises(FixRuleError):
             FixRule(bad, bad)
+
+    def test_guard_must_be_the_fix_constraint(self):
+        schema3 = DatasetSchema.generic(3)
+        rule_c = c("F0 == F1 + F2", schema3)
+        for guard in (c("F1 <= F2", schema3), c("F0 == F1 - F2", schema3)):
+            with pytest.raises(FixRuleError, match="guard must be its fix constraint"):
+                FixRule(guard, rule_c)
+        # An equal tree built apart is the same rule.
+        assert FixRule(c("F0 == F1 + F2", schema3), rule_c).guard == rule_c
 
     def test_assignment_rules_derived_from_set(self):
         cs = ConstraintSet([c("F0 == F1 + F2"), c("F1 <= F2")])

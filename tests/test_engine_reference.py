@@ -6,6 +6,7 @@ fuses into column-block groups (the bench's `wide` set, replicated
 random trees and the grouping hazards one by one)."""
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from tabrobust.expressions import (
     Feature,
     Or,
     Relation,
+    compile_columns,
     eval_with_gradient,
     evaluate_expr,
     features_of,
@@ -37,12 +39,16 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 N_FEATURES = 5
 SCHEMA = DatasetSchema.generic(N_FEATURES)
-# A margin of 0.5 puts the strict relations' kink at F1 - F0 == 0.5.
-CONFIGS = (PenaltyConfig(), PenaltyConfig(tolerance=0.0, strict_margin=0.5))
+CONFIGS = (PenaltyConfig(), PenaltyConfig(tolerance=0.0))
 
 
 def c(text):
     return parse_constraint(text, SCHEMA)
+
+
+def rule(text):
+    """The fix rule of the assignment `text`."""
+    return FixRule(c(text), c(text))
 
 
 def assert_engines_agree(cs, rules, X):
@@ -50,14 +56,14 @@ def assert_engines_agree(cs, rules, X):
         for cfg in CONFIGS:
             with np.errstate(all="ignore"):
                 pairs = [
-                    (ref.penalty_matrix(cs, x, cfg), engine._walk(cs, np.atleast_2d(x), cfg)),
+                    (ref.penalty_matrix(cs, x, cfg), engine._walk(cs, np.atleast_2d(x))),
                     (ref.total_penalty(cs, x, cfg), engine.total_penalty(cs, x, cfg)),
                     *zip(
                         ref.total_penalty_with_gradient(cs, x, cfg),
                         engine.total_penalty_with_gradient(cs, x, cfg),
                     ),
                     (ref.check(cs, x, cfg), engine.check(cs, x, cfg)),
-                    (ref.fix(rules, x, cfg), engine.fix(rules, x, cfg)),
+                    (ref.fix(rules, x, cfg), engine.fix(rules, x)),
                 ]
                 # One constraint alone: its column of the matrix, and the
                 # gradient of the set of it.
@@ -74,12 +80,13 @@ def assert_engines_agree(cs, rules, X):
                 assert np.array_equal(old, new, equal_nan=True), (i, cs.constraints, x)
 
 
-def random_rule(rng, guard):
+def random_rule(rng):
     target = int(rng.integers(0, N_FEATURES))
     expr = random_expr(rng, N_FEATURES, depth=2)
     while target in features_of(expr):
         expr = random_expr(rng, N_FEATURES, depth=2)
-    return FixRule(guard, Relation("==", Feature(target), expr))
+    equality = Relation("==", Feature(target), expr)
+    return FixRule(equality, equality)
 
 
 def test_random_trees_match_reference():
@@ -87,7 +94,7 @@ def test_random_trees_match_reference():
     trees = [random_constraint(rng, N_FEATURES, depth=2) for _ in range(300)]
     for start in range(0, len(trees), 3):
         cs = ConstraintSet(trees[start:start + 3])
-        rules = [random_rule(rng, tree) for tree in cs]
+        rules = [random_rule(rng) for _ in cs]
         X = rng.uniform(-3.0, 3.0, (10, N_FEATURES))
         X[0] = 0.0
         X[1] = 1.0
@@ -123,7 +130,7 @@ KINK_ROWS = [
     [1.0, 1.0, 1.0, 1.0, 1.0],
     [0.0, 1e-6, 0.0, 0.0, 0.0],  # r == 0 for "<" at the default margin
     [1e-6, 0.0, 0.0, 0.0, 0.0],  # r == 0 for ">" at the default margin
-    [0.0, 0.5, 0.5, 0.5, 0.0],  # r == 0 for "<" at margin 0.5
+    [0.0, 0.5, 0.5, 0.5, 0.0],
     [0.5, 0.0, 0.0, 0.0, 0.5],
     [-1.0, -1.0, -2.0, 0.0, 0.0],  # log of negatives, negative base
     [1e-13, -1e-13, 1e-12, -0.0, 0.0],  # inside the division and log clamps
@@ -139,16 +146,31 @@ def test_kinks_match_reference():
     tied_or = Or((c("F0 <= F1"), c("F2 <= F3")))
     nested = And((tied_or, c("if F0 >= F1 then F2 < F3"), Or((singles[5], singles[12]))))
     cs = ConstraintSet([*singles, tied_or, nested])
-    rules = [
-        FixRule(c("F2 == F0 / F1"), c("F2 == F0 / F1")),
-        FixRule(c("F3 == log(F0) + F1"), c("F3 == log(F0) + F1")),
-        FixRule(c("if F0 > F1 then F2 <= F3"), c("F2 == F3")),
-        FixRule(c("F4 == min(F0, F1) * F2"), c("F4 == min(F0, F1) * F2")),
-    ]
+    rules = [rule(t) for t in (
+        "F2 == F0 / F1", "F3 == log(F0) + F1", "F2 == F3", "F4 == min(F0, F1) * F2")]
     X = np.array(KINK_ROWS)
     assert_engines_agree(cs, rules, X)
     for con in cs:
         assert_engines_agree(ConstraintSet([con]), rules, X)
+
+
+def test_fix_non_finite_rows_match_reference():
+    # Every row of values below for F0..F4: targets and expressions at
+    # NaN, +-inf, -0.0 and +0.0, and zero denominators. A NaN residual
+    # (NaN on either side, inf - inf) leaves the target as it is.
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5]
+    X = np.array(list(itertools.product(values, repeat=N_FEATURES)))
+    texts = ("F2 == F0 / F1", "F3 == F0 - F1", "F4 == F0 * F1", "F1 == F3 + F4",
+             "F0 == 0 - F2")
+    rules = [rule(t) for t in texts]
+    assert_engines_agree(ConstraintSet([r.fix for r in rules]), rules, X)
+    with np.errstate(all="ignore"):
+        for x in X[::97]:
+            assert np.array_equal(engine.fix(rules, x), ref.fix(rules, x), equal_nan=True)
+        kept = engine.fix([rule("F3 == F0 - F1")], np.array([[np.inf, 0.0, 0.0, np.inf, 0.0],
+                                                             [np.inf, np.inf, 0.0, 1.0, 0.0],
+                                                             [1.0, -0.0, 0.0, 1.0, 0.0]]))
+    assert np.array_equal(kept[:, 3], [np.inf, 1.0, 1.0])
 
 
 def block_width(block):
@@ -162,7 +184,7 @@ def plan_widths(cs):
 
 
 def fix_widths(rules):
-    return [block_width(target) for _, _, target in engine.FixRules(rules).calls]
+    return [block_width(target) for _, target in engine.FixRules(rules).calls]
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +264,7 @@ def test_plan_structure(wide):
     # 48 fix rules, one level: one fused call per rule shape.
     rules = engine.assignment_fix_rules(cs, schema.mutable)
     assert len(rules) == 48
-    targets = [target for _, _, target in rules.calls]
+    targets = [target for _, target in rules.calls]
     assert [block_width(t) for t in targets] == [16, 16, 16]
     assert all(isinstance(t, slice) for t in targets)
 
@@ -268,7 +290,7 @@ def test_plan_structure(wide):
         assert isinstance(positions, np.ndarray if width > 1 else slice)
     assert any(isinstance(b, np.ndarray) for b in group_columns(shuffled))
     rules = engine.assignment_fix_rules(shuffled, schema.mutable)
-    assert any(isinstance(t, np.ndarray) for _, _, t in rules.calls)
+    assert any(isinstance(t, np.ndarray) for _, t in rules.calls)
     assert_engines_agree(shuffled, rules, off_bounds(wide)[:16])
 
 
@@ -286,6 +308,42 @@ def test_fix_rules_follow_the_set(wide):
     # A plain list is planned on every call.
     x = dataset.X[:4] + 1.0
     assert np.array_equal(engine.fix(list(grown), x), ref.fix(grown, x))
+
+
+def test_fix_runs_each_expression_once(wide, monkeypatch):
+    # Each fused call compiles and runs its rules' expression alone: no
+    # separate guard closure evaluates it a second time.
+    dataset, schema, cs = wide
+    every = np.ones(schema.n_features, dtype=bool)
+    cases = [
+        (list(engine.assignment_fix_rules(ConstraintSet(list(cs)), every)), dataset.X[:8]),
+        # Two levels: the third rule reads the first's target.
+        ([rule(t) for t in ("F1 == F0 + 1", "F3 == F2 + 1", "F4 == F1 + 1")],
+         np.zeros((4, N_FEATURES))),
+    ]
+    compiled = []
+
+    def counting(node, columns, width):
+        run = compile_columns(node, columns, width)
+        record = [node, 0]
+        compiled.append(record)
+
+        def counted(X):
+            record[1] += 1
+            return run(X)
+
+        return counted
+
+    monkeypatch.setattr(engine, "compile_columns", counting)
+    for rules, X in cases:
+        compiled.clear()
+        planned = engine.FixRules(rules)
+        assert len(compiled) == len(planned.calls)
+        for n in (1, 2):
+            engine.fix(planned, X)
+            assert [count for _, count in compiled] == [n] * len(compiled)
+        exprs = {shape_key((r.expr,), []) for r in rules}
+        assert {shape_key((node,), []) for node, _ in compiled} == exprs
 
 
 def relabel(node, features, constants=lambda v: v):
@@ -326,9 +384,7 @@ def replicated_sets(draw):
         # read each other's targets: chains of dependent repairs.
         target = int(rng.integers(0, LOCAL))
         expr = random_expr(rng, LOCAL, depth=2)
-        fix_ = Relation("==", Feature(target), expr)
-        guard = fix_ if rng.random() < 0.6 else random_constraint(rng, LOCAL, depth=1)
-        rule_templates.append((guard, fix_))
+        rule_templates.append(Relation("==", Feature(target), expr))
     n_features = blocks * LOCAL + SHARED
     maps = []
     for b in range(blocks):
@@ -342,10 +398,10 @@ def replicated_sets(draw):
     cs = ConstraintSet([relabel(templates[t], maps[b], scale(b)) for b, t in order])
     rules = []
     for b in range(blocks):
-        for guard, fix_ in rule_templates:
-            fix_ = relabel(fix_, maps[b], scale(b))
+        for template in rule_templates:
+            fix_ = relabel(template, maps[b], scale(b))
             if fix_.left.index not in features_of(fix_.right):
-                rules.append(FixRule(relabel(guard, maps[b], scale(b)), fix_))
+                rules.append(FixRule(fix_, fix_))
     n = draw(st.sampled_from([1, 2, blocks, 7]))
     X = rng.uniform(-3.0, 3.0, (n, n_features))
     if n > 1:
@@ -374,7 +430,7 @@ def test_group_as_wide_as_the_batch():
     assert plan_widths(cs) == [3]
     rng = np.random.default_rng(2)
     X = rng.uniform(-3.0, 3.0, (3, N_FEATURES))
-    rules = [FixRule(c(t), c(t)) for t in ("F1 == F0 - 1", "F3 == F2 - 1", "F4 == F0 - 1")]
+    rules = [rule(t) for t in ("F1 == F0 - 1", "F3 == F2 - 1", "F4 == F0 - 1")]
     assert fix_widths(rules) == [3]
     assert_engines_agree(cs, rules, X)
 
@@ -403,9 +459,6 @@ def test_hazards_keep_the_reference_order():
 
 
 def test_chained_fix_rules_keep_their_order():
-    def rule(text, guard=None):
-        return FixRule(c(guard or text), c(text))
-
     X = np.vstack([np.array(KINK_ROWS), np.random.default_rng(4).uniform(-3, 3, (6, 5))])
     cases = [
         # The third rule reads the first's target: a second level.
@@ -414,8 +467,6 @@ def test_chained_fix_rules_keep_their_order():
         ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F1 == F4 + 1")], [2, 1]),
         # The third rule writes what the first reads.
         ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F0 == F4 + 1")], [2, 1]),
-        # A guard reading another rule's target.
-        ([rule("F1 == F0", "F2 <= F3"), rule("F3 == F4", "F0 <= F1")], [1, 1]),
         # Independent rules of one shape in one level.
         ([rule("F1 == F0 + 1"), rule("F3 == F2 + 1"), rule("F4 == F2 * F0")], [2, 1]),
     ]
