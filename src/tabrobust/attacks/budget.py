@@ -7,7 +7,7 @@ import numbers
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from ..data import is_number
+from ..data import is_finite_number, is_number
 
 NORMS = ("L2", "Linf")
 
@@ -37,7 +37,7 @@ class AttackBudget:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
         for name in ("eps", "lam"):
             value = getattr(self, name)
-            if not (is_number(value) and math.isfinite(value) and value >= 0):
+            if not (is_finite_number(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         for name in ("n_iter_gradient", "n_gen", "n_off", "n_pop", "seed"):
             value = getattr(self, name)

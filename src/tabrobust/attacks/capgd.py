@@ -66,13 +66,12 @@ def _objective_pieces(
     scaler: MinMaxScaler,
     Z: np.ndarray,
     y: np.ndarray,
-    cfg: PenaltyConfig,
 ):
     """(pieces, misclassified, raw Z) at Z, from one penalty call and one
     forward pass. The pieces are per-row cross-entropy, penalty, the
     cross-entropy's input gradient and the penalty's, in scaled space."""
     X = scaler.inverse_transform(Z)
-    pen, pen_grad_raw = total_penalty_with_gradient(cs, X, cfg)
+    pen, pen_grad_raw = total_penalty_with_gradient(cs, X)
     ce_grad, probs = model.input_gradient(Z, y, with_proba=True)
     pieces = (cross_entropy(probs, y), pen, ce_grad, pen_grad_raw * scaler.width_)
     return pieces, probs.argmax(axis=1) != y, X
@@ -113,7 +112,7 @@ def capgd(
     scaler = model.scaler
 
     lam = np.full(n, budget.lam)
-    pieces, mis0, _ = _objective_pieces(model, cs, scaler, Z0, y, cfg)
+    pieces, mis0, _ = _objective_pieces(model, cs, scaler, Z0, y)
     best_cand = Z0.copy()
     best_key = np.full((n, 3), np.inf)  # above every key: Z0's offer wins
 
@@ -148,7 +147,7 @@ def capgd(
         )
         z_next = project(blended, Z0, budget, schema, scaler)
 
-        pieces, mis_next, x_next = _objective_pieces(model, cs, scaler, z_next, y, cfg)
+        pieces, mis_next, x_next = _objective_pieces(model, cs, scaler, z_next, y)
         obj_next, grad_next = _objective(pieces, lam)
         offer(z_next, mis_next, pieces[1], distance(z_next, Z0, budget.norm), True)
         if rules:
@@ -160,7 +159,7 @@ def capgd(
             moved = np.any(z_fixed != z_next, axis=1)
             eligible = moved & in_ball_and_box(z_fixed, dist_f, budget.eps)
             if np.any(eligible):
-                pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed), cfg)
+                pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed))
                 mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
                 offer(z_fixed, mis_f, pen_f, dist_f, eligible)
 

@@ -278,7 +278,7 @@ def moeva(
         probs = model.predict_proba_scaled(pop)
         f1 = probs[:, y]
         f2 = distance(pop, z0[None, :], budget.norm)
-        f3 = total_penalty(cs, scaler.inverse_transform(pop), cfg)
+        f3 = total_penalty(cs, scaler.inverse_transform(pop))
         F = np.stack([f1, f2, f3], axis=1)
         return F, probs.argmax(axis=1) != y
 

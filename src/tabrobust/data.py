@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -54,6 +55,15 @@ def is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """`value` is a finite real number (see `is_number`); an integer too
+    large to convert to a float is not."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def json_array(value, ndim: int, what: str) -> np.ndarray:
     """The parsed JSON `value` as a float array: `ndim` levels of nested
     lists, none ragged, of finite numbers (not bools or null); else a
@@ -74,6 +84,15 @@ def json_array(value, ndim: int, what: str) -> np.ndarray:
     return a
 
 
+def _json_bound(f, key: str, what: str) -> float:
+    """Bound `key` of the JSON feature object `f` (a `what`) as a float;
+    an integer too large to convert is a DataError naming the field."""
+    value = json_field(f, key, (int, float), what)
+    if isinstance(value, int) and not is_finite_number(value):
+        raise DataError(f"{what} field {key!r} is an integer too large for a float")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FeatureMetadata:
     name: str
@@ -90,7 +109,8 @@ class FeatureMetadata:
             # Bounds must be integers that float64 holds exactly, so that
             # projection can round onto them and mutation can draw in them.
             for bound in (self.min, self.max):
-                if not (float(bound).is_integer() and abs(bound) <= 2**53):
+                if not (is_finite_number(bound) and float(bound).is_integer()
+                        and abs(bound) <= 2**53):
                     raise DataError(
                         f"integer feature {self.name!r}: bound {bound!r} is not a "
                         "finite integer"
@@ -203,8 +223,8 @@ class DatasetSchema:
             feats.append(FeatureMetadata(
                 json_field(f, "name", str, what),
                 json_field(f, "kind", str, what, "continuous"),
-                float(json_field(f, "min", (int, float), what)),
-                float(json_field(f, "max", (int, float), what)),
+                _json_bound(f, "min", what),
+                _json_bound(f, "max", what),
                 json_field(f, "mutable", bool, what, True),
                 json_field(f, "onehot_group", (int, str, type(None)), what, None),
             ))

@@ -19,7 +19,6 @@ trains on constraint-violating inputs.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -28,8 +27,8 @@ import numpy as np
 from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, fits_schema, is_number
-from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, assignment_fix_rules, check, fix
+from .data import Dataset, DatasetSchema, fits_schema, is_finite_number, is_number
+from .engine import DEFAULT_PENALTY_CONFIG, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
 
@@ -49,7 +48,7 @@ class AugmentConfig:
     def __post_init__(self):
         if self.method not in AUGMENT_METHODS:
             raise ValueError(f"unknown augmentation method {self.method!r}")
-        if not (is_number(self.ratio) and math.isfinite(self.ratio) and self.ratio >= 0):
+        if not (is_finite_number(self.ratio) and self.ratio >= 0):
             raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio!r}")
         if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -74,7 +73,6 @@ def cutmix_tabular(
     rng: np.random.Generator,
     schema: DatasetSchema,
     cs: ConstraintSet,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a block of `count` mixtures of row pairs of (X, y); returns
     the accepted ones, in draw order.
@@ -92,12 +90,12 @@ def cutmix_tabular(
     take_a = (rng.random((count, len(schema.slot_sizes))) < p[:, None])[:, schema.slot_of]
     X_mix = np.where(take_a, X[a], X[b])
     y_mix = np.where(take_a.mean(axis=1) >= 0.5, y[a], y[b])
-    ok = check(cs, X_mix, cfg)
+    ok = check(cs, X_mix)
     rules = assignment_fix_rules(cs, schema.mutable)
     bad = ~ok
     if rules and bad.any():
         X_mix[bad] = fix(rules, X_mix[bad])
-        ok[bad] = check(cs, X_mix[bad], cfg)
+        ok[bad] = check(cs, X_mix[bad])
     ok &= fits_schema(X_mix, schema, 0.0)
     return X_mix[ok], y_mix[ok]
 
@@ -107,7 +105,6 @@ def augment_dataset(
     schema: DatasetSchema,
     cs: ConstraintSet,
     config: AugmentConfig,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> Dataset:
     """Append round(config.ratio * n_rows) Cutmix mixtures, each valid.
 
@@ -122,7 +119,7 @@ def augment_dataset(
     for _ in range(CUTMIX_MAX_RETRIES):
         if len(y_new) >= target:
             break
-        X_mix, y_mix = cutmix_tabular(dataset.X, dataset.y, target, rng, schema, cs, cfg)
+        X_mix, y_mix = cutmix_tabular(dataset.X, dataset.y, target, rng, schema, cs)
         X_new, y_new = np.vstack([X_new, X_mix]), np.concatenate([y_new, y_mix])
     if len(y_new) < target:
         logger.warning(
@@ -142,7 +139,6 @@ def adversarial_train(
     at_cfg: ATConfig,
     train_cfg: TrainConfig,
     schema: DatasetSchema,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> tuple[ReferenceModel, TrainHistory]:
     """Madry-style training under constraints.
 
@@ -159,14 +155,13 @@ def adversarial_train(
         if n_adv == 0 or budget.eps == 0:
             return Zb
         Z_adv = Zb[:n_adv]
-        out = capgd(model, cs, Z_adv, yb[:n_adv], budget, schema, cfg)
-        valid = validity_mask(
-            schema, model.scaler, cs, Z_adv, out.candidates, budget, cfg
-        )
+        out = capgd(model, cs, Z_adv, yb[:n_adv], budget, schema)
+        valid = validity_mask(schema, model.scaler, cs, Z_adv, out.candidates, budget,
+                              DEFAULT_PENALTY_CONFIG)
         mixed = Zb.copy()
         mixed[:n_adv][valid] = out.candidates[valid]
         raw = model.scaler.inverse_transform(mixed)
-        assert np.all(check(cs, raw, cfg)), "training batch violates constraints"
+        assert np.all(check(cs, raw)), "training batch violates constraints"
         return mixed
 
     return train(model, dataset, train_cfg, schema=schema, batch_hook=hook)

@@ -45,13 +45,12 @@ tolerance of 1e-2 absorbs float noise after unscaling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .data import is_number
+from .data import is_finite_number
 from .expressions import (
     Constraint,
     ConstraintSet,
@@ -68,14 +67,16 @@ from .expressions import (
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """tolerance: satisfaction threshold in raw feature units. (Strict
-    comparisons close with the constant `expressions.STRICT_MARGIN`.)"""
+    """tolerance: satisfaction threshold in raw feature units. Only code
+    that compares a penalty against it reads it: `check`, CAPGD's
+    penalty-weight doubling, MOEVA's success flag, and the report's
+    config echo. Penalties themselves take no config (strict comparisons
+    close with the constant `expressions.STRICT_MARGIN`)."""
 
     tolerance: float = 1e-2
 
     def __post_init__(self):
-        if not (is_number(self.tolerance) and math.isfinite(self.tolerance)
-                and self.tolerance >= 0):
+        if not (is_finite_number(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance!r}")
 
 
@@ -90,9 +91,10 @@ def penalty(
     """Violation penalty of one constraint; zero iff satisfied.
 
     Accepts a feature vector (returns a scalar) or an (n, d) matrix
-    (returns a length-n array).
+    (returns a length-n array). `cfg` is accepted and not read: no
+    penalty depends on the tolerance.
     """
-    return total_penalty(ConstraintSet([c]), x, cfg)
+    return total_penalty(ConstraintSet([c]), x)
 
 
 def penalty_gradient(
@@ -100,8 +102,9 @@ def penalty_gradient(
     x: np.ndarray,
     cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
 ) -> np.ndarray:
-    """Reverse-mode d(penalty)/dx; a valid subgradient at kinks."""
-    return total_penalty_with_gradient(ConstraintSet([c]), x, cfg)[1]
+    """Reverse-mode d(penalty)/dx; a valid subgradient at kinks. `cfg`
+    is accepted and not read, as in `penalty`."""
+    return total_penalty_with_gradient(ConstraintSet([c]), x)[1]
 
 
 def _fuse(members_leaves: list[list[int]]) -> dict:
@@ -179,11 +182,7 @@ def check(
     return bool(ok[0]) if single else ok
 
 
-def total_penalty(
-    cs: ConstraintSet,
-    x: np.ndarray,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
-) -> Union[float, np.ndarray]:
+def total_penalty(cs: ConstraintSet, x: np.ndarray) -> Union[float, np.ndarray]:
     """Sum of per-constraint penalties (the attacks' aggregate loss), the
     same bits as `total_penalty_with_gradient`'s."""
     X, single = _as_matrix(x)
@@ -192,9 +191,7 @@ def total_penalty(
 
 
 def total_penalty_with_gradient(
-    cs: ConstraintSet,
-    x: np.ndarray,
-    cfg: PenaltyConfig = DEFAULT_PENALTY_CONFIG,
+    cs: ConstraintSet, x: np.ndarray
 ) -> tuple[Union[float, np.ndarray], np.ndarray]:
     """(sum of penalties, sum of penalty gradients) over the set; the sum
     is `total_penalty`'s, bit for bit."""

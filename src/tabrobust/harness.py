@@ -11,7 +11,6 @@ contains has been re-validated here, outside the attack code.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,7 +20,7 @@ import numpy as np
 from .attacks import AttackBudget, caa
 from .attacks.caa import AttackResult
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, is_number
+from .data import Dataset, DatasetSchema, is_finite_number, is_number
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .expressions import ConstraintSet
 from .metrics import classification_metrics
@@ -52,7 +51,7 @@ class SweepSpec:
             self.values = list(defaults)
         if not all(is_number(v) for v in self.values):
             raise ValueError(f"{self.axis} sweep values must be real numbers, got {self.values!r}")
-        if not all(math.isfinite(v) and v > 0 for v in self.values):
+        if not all(is_finite_number(v) and v > 0 for v in self.values):
             raise ValueError("sweep values must be finite and positive")
         if len(set(map(float, self.values))) < len(self.values):
             raise ValueError(f"sweep values must not repeat, got {self.values}")

@@ -12,7 +12,6 @@ adaptive moments; everything is driven by one seeded generator, so a
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import DataError, Dataset, DatasetSchema, MinMaxScaler, is_number, json_array, json_field
+from .data import (
+    DataError,
+    Dataset,
+    DatasetSchema,
+    MinMaxScaler,
+    is_finite_number,
+    is_number,
+    json_array,
+    json_field,
+)
 from .metrics import auc_score
 
 CHECKPOINT_VERSION = 1
@@ -58,12 +66,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch size positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_finite_number(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:  # also false for NaN
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+        if not (is_finite_number(self.adam_eps) and self.adam_eps > 0):
             raise ValueError(f"adam_eps must be finite and positive, got {self.adam_eps}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
@@ -198,19 +206,23 @@ class ReferenceModel:
         hidden = json_field(d, "hidden", list, "model")
         if not all(is_number(h, int) and h >= 1 for h in hidden):
             raise DataError(f"model field 'hidden' must be a list of integers >= 1, got {hidden!r}")
-        model = cls(n_features, hidden=tuple(hidden))
-        model.scaler = MinMaxScaler.from_dict(json_field(d, "scaler", dict, "model"))
-        if not len(model.scaler.min_) == len(model.scaler.width_) == n_features:
+        scaler = MinMaxScaler.from_dict(json_field(d, "scaler", dict, "model"))
+        if not len(scaler.min_) == len(scaler.width_) == n_features:
             raise DataError(f"model scaler fields 'min' and 'width' must have {n_features} entries")
-        # The freshly built model's layers give the shapes the file must have.
-        for key, ndim, layers in (("weights", 2, model.weights), ("biases", 1, model.biases)):
+        # The widths give the shapes the file must have; no layer is built
+        # before the parsed arrays match them.
+        widths = [n_features, *hidden, 2]
+        layers = {}
+        for key, ndim, want in (("weights", 2, list(zip(widths[:-1], widths[1:]))),
+                                ("biases", 1, [(w,) for w in widths[1:]])):
             got = [json_array(a, ndim, f"each layer of model field {key!r}")
                    for a in json_field(d, key, list, "model")]
-            want = [a.shape for a in layers]
             if [a.shape for a in got] != want:
                 raise DataError(f"model field {key!r} must have shapes {want}, "
                                 f"got {[a.shape for a in got]}")
-            setattr(model, key, got)
+            layers[key] = got
+        model = cls(n_features, hidden=tuple(hidden), scaler=scaler)
+        model.weights, model.biases = layers["weights"], layers["biases"]
         return model
 
 

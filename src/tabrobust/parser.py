@@ -24,6 +24,7 @@ from typing import Union
 
 from .data import DatasetSchema
 from .expressions import (
+    RELATION_OPS,
     Abs,
     Add,
     Constant,
@@ -143,7 +144,7 @@ class _Parser:
     def parse_relation(self) -> Relation:
         left = self.parse_expr()
         tok = self.current
-        if tok.kind != "op" or tok.text not in ("==", "<=", "<", ">=", ">"):
+        if tok.kind != "op" or tok.text not in RELATION_OPS:
             got = tok.text if tok.text else "end of input"
             raise self.error(f"expected a relational operator, found {got!r}")
         self.advance()

@@ -19,13 +19,12 @@ Feature layout (raw units):
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler, is_number
+from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler, is_finite_number, is_number
 from .engine import PenaltyConfig, check
 from .expressions import ConstraintSet
 from .parser import parse_constraint
@@ -59,8 +58,7 @@ class SyntheticSpec:
             raise InfeasibleSpec("templates need at least 6 features")
         if self.n_rows < 2:
             raise InfeasibleSpec("need at least 2 rows")
-        if not (is_number(self.label_noise) and math.isfinite(self.label_noise)
-                and self.label_noise >= 0):
+        if not (is_finite_number(self.label_noise) and self.label_noise >= 0):
             raise InfeasibleSpec(
                 f"label_noise must be finite and nonnegative, got {self.label_noise}"
             )

@@ -117,7 +117,7 @@ def random_constraint(
     return Or(tuple(random_relation(rng, n_features, depth) for _ in range(k)))
 
 
-def kink_gap(node, x: np.ndarray, cfg: PenaltyConfig) -> float:
+def kink_gap(node, x: np.ndarray) -> float:
     """Smallest distance (in value space) to any non-smooth switch.
 
     Used for rejection sampling: points with a small gap sit too close
@@ -202,10 +202,12 @@ def sample_away_from_kinks(
     min_gap: float = 1e-3,
     tries: int = 200,
 ):
-    """A random point whose kink gap exceeds min_gap, or None."""
+    """A random point whose kink gap exceeds min_gap, or None. `cfg`
+    is not read: kinks do not depend on the tolerance, and criterion 2
+    passes one."""
     for _ in range(tries):
         x = rng.uniform(-3.0, 3.0, n_features)
-        gap = kink_gap(node, x, cfg)
+        gap = kink_gap(node, x)
         value_ok = True
         try:
             value_ok = np.isfinite(gap)

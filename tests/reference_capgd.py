@@ -38,10 +38,9 @@ def _objective_pieces(
     Z: np.ndarray,
     y: np.ndarray,
     lam: np.ndarray,
-    cfg: PenaltyConfig,
 ):
     """(objective, gradient, penalty, misclassified) at Z."""
-    pen, pen_grad_raw = total_penalty_with_gradient(cs, scaler.inverse_transform(Z), cfg)
+    pen, pen_grad_raw = total_penalty_with_gradient(cs, scaler.inverse_transform(Z))
     probs = model.predict_proba_scaled(Z)
     obj = cross_entropy(probs, y) - lam * pen
     grad = model.input_gradient(Z, y) - lam[:, None] * (pen_grad_raw * scaler.width_)
@@ -70,7 +69,7 @@ def capgd(
     scaler = model.scaler
 
     lam = np.full(n, budget.lam)
-    obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam, cfg)
+    obj, grad, pen0, mis0 = _objective_pieces(model, cs, scaler, Z0, y, lam)
     best_cand = Z0.copy()
     best_key = np.full((n, 3), np.inf)  # above every key: Z0's offer wins
 
@@ -105,7 +104,7 @@ def capgd(
         z_next = project(blended, Z0, budget, schema, scaler)
 
         obj_next, grad_next, pen_next, mis_next = _objective_pieces(
-            model, cs, scaler, z_next, y, lam, cfg
+            model, cs, scaler, z_next, y, lam
         )
         offer(z_next, mis_next, pen_next, distance(z_next, Z0, budget.norm), True)
         if rules:
@@ -117,7 +116,7 @@ def capgd(
             moved = np.any(z_fixed != z_next, axis=1)
             eligible = moved & in_ball_and_box(z_fixed, dist_f, budget.eps)
             if np.any(eligible):
-                pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed), cfg)
+                pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed))
                 mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
                 offer(z_fixed, mis_f, pen_f, dist_f, eligible)
 
@@ -140,7 +139,7 @@ def capgd(
                 z_prev = z_prev.copy()
                 z_prev[stalled] = best_obj_point[stalled]
                 obj_s, grad_s, _, _ = _objective_pieces(
-                    model, cs, scaler, z_cur, y, lam, cfg
+                    model, cs, scaler, z_cur, y, lam
                 )
                 obj_cur = np.where(stalled, obj_s, obj_cur)
                 grad = np.where(stalled[:, None], grad_s, grad)

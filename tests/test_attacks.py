@@ -124,6 +124,8 @@ class TestAttackBudget:
         ({"n_iter_gradient": "10"}, "n_iter_gradient must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": -1}, "seed must be nonnegative"),
+        ({"eps": 10**400}, "eps must be finite"),  # past float's range
+        ({"lam": 10**400}, "lam must be finite"),
     ])
     def test_rejects_values_that_break_a_stage(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -703,8 +705,8 @@ class TestMoeva:
         populations = []
         total_penalty = moeva_module.total_penalty
 
-        def nan_seed_penalty(cs, X, cfg):
-            penalties = total_penalty(cs, X, cfg)
+        def nan_seed_penalty(cs, X):
+            penalties = total_penalty(cs, X)
             if not populations:
                 penalties = np.full_like(penalties, np.nan)
             populations.append((X.copy(), penalties))

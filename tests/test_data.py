@@ -12,6 +12,7 @@ from tabrobust.data import (
     FeatureMetadata,
     MinMaxScaler,
     fits_schema,
+    is_finite_number,
     load_dataset,
     save_dataset,
     validate_against_schema,
@@ -127,6 +128,10 @@ class TestSchema:
         ({"features": [], "critical_class": "1"},
          "schema field 'critical_class' must be int, got str"),
         ({"features": [], "critical_class": 5}, "critical_class must be 0 or 1, got 5"),
+        ({"features": [{"name": "x", "min": 0, "max": 10**400}]},
+         "schema feature 0 field 'max' is an integer too large for a float"),
+        ({"features": [{"name": "k", "kind": "integer", "min": -(10**400), "max": 0}]},
+         "schema feature 0 field 'min' is an integer too large for a float"),
     ])
     def test_malformed_schema_names_the_field(self, d, message):
         with pytest.raises(DataError, match=re.escape(message)):
@@ -142,6 +147,10 @@ class TestSchema:
         assert schema.mutable.tolist() == [True, False, True]
         assert [type(f.min) for f in schema.features] == [float] * 3
         assert schema.group_keys == (3,)
+
+    def test_oversized_integer_bound_rejected(self):
+        with pytest.raises(DataError, match="finite integer"):
+            FeatureMetadata("k", "integer", 0, 10**400)
 
     def test_integer_bounds_accepted(self):
         assert FeatureMetadata("k", "integer", np.int64(1), 6).max == 6
@@ -341,3 +350,10 @@ class TestScaler:
     def test_infinite_schema_bounds_rejected(self):
         with pytest.raises(DataError, match="finite"):
             MinMaxScaler.from_schema(DatasetSchema.generic(2))
+
+
+def test_is_finite_number():
+    for value in (0, -3, 2.5, np.float32(1.5), np.int64(7), 10**300):
+        assert is_finite_number(value), value
+    for value in (10**400, -(10**400), np.inf, np.nan, True, "1", None):
+        assert not is_finite_number(value), value

@@ -19,7 +19,7 @@ from tabrobust.defense import (
     augment_dataset,
     cutmix_tabular,
 )
-from tabrobust.engine import PenaltyConfig, assignment_fix_rules, check, fix
+from tabrobust.engine import assignment_fix_rules, check, fix
 from tabrobust.expressions import ConstraintSet
 from tabrobust.parser import parse_constraint
 from tabrobust.mlp import ReferenceModel, TrainConfig, train
@@ -32,7 +32,7 @@ def bench():
     return dataset, schema, cs
 
 
-def replay_cutmix(X, y, count, rng, schema, cs, cfg):
+def replay_cutmix(X, y, count, rng, schema, cs):
     """The same draws as `cutmix_tabular`, mixed and repaired one row at
     a time the way the per-pair loop did: `np.where` over the slot mask,
     then `check`, `fix` and `check` again on the single row."""
@@ -45,10 +45,10 @@ def replay_cutmix(X, y, count, rng, schema, cs, cfg):
         mask = (draw < p_k)[schema.slot_of]
         x = np.where(mask, X[i], X[j])
         label = y[i] if mask.mean() >= 0.5 else y[j]
-        if not check(cs, x, cfg):
+        if not check(cs, x):
             if rules:
                 x = fix(rules, x)
-            if not check(cs, x, cfg):
+            if not check(cs, x):
                 continue
         if fits_schema(x[None], schema, 0.0)[0]:
             rows.append(x)
@@ -106,12 +106,9 @@ class TestMixWithMask:
 class TestCutmix:
     def test_mixtures_pass_checker(self, bench):
         dataset, schema, cs = bench
-        cfg = PenaltyConfig()
-        X, y = cutmix_tabular(
-            dataset.X, dataset.y, 1000, np.random.default_rng(0), schema, cs, cfg
-        )
+        X, y = cutmix_tabular(dataset.X, dataset.y, 1000, np.random.default_rng(0), schema, cs)
         assert len(X) >= 900
-        assert check(cs, X, cfg).all()
+        assert check(cs, X).all()
         validate_against_schema(X, schema)
         assert set(y.tolist()) <= {0, 1}
 
@@ -134,13 +131,12 @@ class TestCutmix:
     @pytest.mark.parametrize("make", ["bench", "sum"])
     def test_block_matches_per_row_replay(self, bench, make):
         dataset, schema, cs = bench if make == "bench" else sum_schema()
-        cfg = PenaltyConfig()
         for seed in range(3):
             got = cutmix_tabular(
-                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs, cfg
+                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs
             )
             want = replay_cutmix(
-                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs, cfg
+                dataset.X, dataset.y, 300, np.random.default_rng(seed), schema, cs
             )
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert 0 < len(got[0]) < 300  # both outcomes occur
@@ -172,7 +168,7 @@ class TestCutmix:
         augmented = augment_dataset(dataset, schema, cs, config)
         added = augmented.n_rows - dataset.n_rows
         assert added == int(round(0.25 * dataset.n_rows))
-        assert check(cs, augmented.X[dataset.n_rows :], PenaltyConfig()).all()
+        assert check(cs, augmented.X[dataset.n_rows :]).all()
         validate_against_schema(augmented.X[dataset.n_rows :], schema)
         assert np.array_equal(augmented.X[: dataset.n_rows], dataset.X)
         again = augment_dataset(dataset, schema, cs, config)
@@ -185,7 +181,7 @@ class TestCutmix:
         new = augmented.X[dataset.n_rows :]
         assert len(new) == 100
         validate_against_schema(new, schema)
-        assert check(cs, new, PenaltyConfig()).all()
+        assert check(cs, new).all()
 
     def test_short_of_target_warns(self, caplog):
         # No row in [0, 1]^2 satisfies F0 <= F1 - 2, and no rule repairs it.
@@ -223,9 +219,10 @@ def test_negative_augment_seed_rejected():
     (SyntheticSpec, "label_noise"),
 ])
 def test_config_fields_are_type_checked(config, field):
-    # Bools and strings are never numbers; a count field takes no float.
+    # Bools and strings are never numbers; a count field takes no float,
+    # and a real field no integer past float's range.
     counts = ("seed", "n_rows", "n_features")
-    for value in (True, "0.5", None, *((10.5, 7.0) if field in counts else ())):
+    for value in (True, "0.5", None, *((10.5, 7.0) if field in counts else (10**400,))):
         with pytest.raises(ValueError, match=field):
             config(**{field: value})
     config(**{field: np.int64(7) if field in counts else np.float64(0.5)})

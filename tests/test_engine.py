@@ -105,7 +105,8 @@ class TestCheck:
         assert check(ConstraintSet(), np.zeros((4, 5))).all()
 
     @pytest.mark.parametrize("field", ["tolerance"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", True, None])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", True, None,
+                                       pytest.param(10**400, id="10**400")])
     def test_non_finite_settings_rejected(self, field, value):
         # A NaN tolerance would make `check` reject every row.
         with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -57,10 +57,10 @@ def assert_engines_agree(cs, rules, X):
             with np.errstate(all="ignore"):
                 pairs = [
                     (ref.penalty_matrix(cs, x, cfg), engine._walk(cs, np.atleast_2d(x))),
-                    (ref.total_penalty(cs, x, cfg), engine.total_penalty(cs, x, cfg)),
+                    (ref.total_penalty(cs, x, cfg), engine.total_penalty(cs, x)),
                     *zip(
                         ref.total_penalty_with_gradient(cs, x, cfg),
-                        engine.total_penalty_with_gradient(cs, x, cfg),
+                        engine.total_penalty_with_gradient(cs, x),
                     ),
                     (ref.check(cs, x, cfg), engine.check(cs, x, cfg)),
                     (ref.fix(rules, x, cfg), engine.fix(rules, x)),

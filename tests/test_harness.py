@@ -189,6 +189,8 @@ class TestSweep:
             SweepSpec(axis="search_iters", values=[2.2, 2.7])
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(axis="eps", values=[float("nan"), 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(axis="eps", values=[0.5, 10**400])
 
     def test_values_must_be_real_numbers(self):
         # A bool is not a number (True would sweep eps 1.0), nor is a string.
@@ -442,6 +444,33 @@ class TestCli:
              "--schema", str(bad), "--out", str(tmp_path / "r.json")]
         ) == 1
         assert "field 'mutable' must be bool, got str" in capsys.readouterr().err
+
+    def test_oversized_integers_exit_one(self, cli_dataset, cli_model, tmp_path, capsys):
+        # An integer past float's range is a validation error naming the
+        # field, in a config and in a schema alike.
+        big = 10**400
+        model = ["--model", str(cli_model)]
+        config = tmp_path / "config.json"
+        schema = json.loads((cli_dataset / "schema.json").read_text())
+        schema["features"][0]["max"] = big
+        bad_schema = tmp_path / "schema.json"
+        bad_schema.write_text(json.dumps(schema))
+        for command, extra, text, message in (
+            ("attack", model, {"eps": big}, "eps must be finite"),
+            ("attack", model, {"tolerance": big}, "tolerance must be finite"),
+            ("train", [], {"learning_rate": big}, "learning rate must be finite"),
+            ("attack", model, None, "schema feature 0 field 'max' is an integer too large"),
+            ("train", [], None, "schema feature 0 field 'max' is an integer too large"),
+        ):
+            config.write_text(json.dumps(text or {}))
+            flags = ["--schema", str(bad_schema)] if text is None else []
+            capsys.readouterr()
+            assert cli_main(
+                [command, "--data", str(cli_dataset), *extra, *flags, "--config", str(config),
+                 "--out", str(tmp_path / "out")]
+            ) == 1, (command, message)
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_advtrain_rejects_constraint_violating_row(self, cli_dataset, tmp_path, capsys):
         ds = tmp_path / "ds"

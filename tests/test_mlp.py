@@ -1,5 +1,9 @@
 """Reference model: gradients, training, determinism, checkpoints."""
 
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,7 +199,8 @@ class TestTrain:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0,
+                                    pytest.param(10**400, id="10**400")])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning rate must be finite"):
             TrainConfig(learning_rate=lr)
@@ -213,6 +218,7 @@ class TestTrainConfig:
         ({"adam_beta2": float("nan")}, r"adam_beta2 must be in \[0, 1\)"),
         ({"adam_eps": 0.0}, "adam_eps must be finite and positive"),
         ({"adam_eps": float("inf")}, "adam_eps must be finite and positive"),
+        ({"adam_eps": 10**400}, "adam_eps must be finite and positive"),
     ])
     def test_field_types_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -241,6 +247,24 @@ class TestCheckpoint:
             model.predict_proba_scaled(Z), loaded.predict_proba_scaled(Z)
         )
         assert np.array_equal(loaded.scaler.min_, model.scaler.min_)
+
+    def test_layer_shapes_checked_before_any_layer_is_built(self, tmp_path):
+        # A file claiming a million hidden units over two features fails
+        # on its shapes without allocating the claimed layers (16 MB each).
+        model = ReferenceModel(2, hidden=(3,), seed=0,
+                               scaler=MinMaxScaler.from_schema(toy_schema()))
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "hidden": [10**6]}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=re.escape("must have shapes [(2, 1000000)")):
+                ReferenceModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_missing_field_is_named(self, tmp_path):
         path = tmp_path / "model.json"

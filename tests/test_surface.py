@@ -1,9 +1,14 @@
-"""Every public function, class and method under src/tabrobust/ has a reader.
+"""Every public function, class and method under src/tabrobust/ has a
+reader, and every parameter of every function there is read.
 
 A public name must be named in src/, bench/ or tests/test_acceptance.py
 outside its own definition: as a name, an attribute, an import, or a
 string that is exactly the name (bench/tracing.py looks call sites up by
 string). A name only other tests reach is surface nothing needs.
+
+A parameter other than `self` and `cls` must be read in its function's
+body, nested functions included; the few that callers or a fixed
+callback signature require are listed with their reasons.
 """
 
 import ast
@@ -49,3 +54,47 @@ def test_every_public_name_has_a_reader():
     read = {name for tree in trees.values() for name in _named(tree)}
     unread = sorted(defined - read - EXCEPTIONS)
     assert not unread, f"public names nothing outside the tests reads: {unread}"
+
+
+# "module.qualified.name(parameter)" -> why it stays unread.
+UNREAD_PARAMETERS = {
+    "engine.penalty(cfg)": "criterion 2 calls penalty(con, x, cfg)",
+    "engine.penalty_gradient(cfg)": "criterion 2 calls penalty_gradient(con, x, cfg)",
+    "harness.evaluate(workers)": "criterion 11 and the bench pass it (ROADMAP item 1)",
+    "harness.budget_sweep(workers)": "criterion 11 and the bench pass it (ROADMAP item 1)",
+    "defense.adversarial_train.hook(epoch)": "`train`'s batch-hook signature",
+    "expressions._no_backward(adj)": "the backward-step signature",
+    "expressions._no_backward(grad)": "the backward-step signature",
+    "expressions.SafeDiv._compile.derivs(out)": "`_binary`'s derivative signature",
+}
+
+
+def _unread_parameters(node: ast.AST, prefix: str):
+    """Each unread parameter of the functions under `node`, as
+    "prefix.qualified.name(parameter)"."""
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}.{getattr(child, 'name', '')}"
+        if isinstance(child, ast.FunctionDef):
+            a = child.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p and p.arg not in ("self", "cls")]
+            read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from (f"{name}({p})" for p in params if p not in read)
+        yield from _unread_parameters(
+            child, name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else prefix
+        )
+
+
+def test_every_parameter_is_read():
+    src = ROOT / "src" / "tabrobust"
+    unread = {
+        found for path in SOURCES
+        for found in _unread_parameters(
+            ast.parse(path.read_text()), ".".join(path.relative_to(src).with_suffix("").parts)
+        )
+    }
+    extra = sorted(unread - UNREAD_PARAMETERS.keys())
+    assert not extra, f"parameters nothing reads: {extra}"
+    stale = sorted(UNREAD_PARAMETERS.keys() - unread)
+    assert not stale, f"listed as unread, but read: {stale}"
