@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from ..data import is_finite_number, is_number
+from ..data import is_finite_number, is_int_at_least
 
 NORMS = ("L2", "Linf")
 
@@ -39,15 +38,12 @@ class AttackBudget:
             value = getattr(self, name)
             if not (is_finite_number(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        for name in ("n_iter_gradient", "n_gen", "n_off", "n_pop", "seed"):
+        for name, low in (("n_iter_gradient", 1), ("n_gen", 0), ("n_off", 1), ("n_pop", 1),
+                          ("seed", 0)):
             value = getattr(self, name)
-            if not is_number(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not is_int_at_least(value, low):
+                raise ValueError(f"{name} must be an integer in [{low}, 2**63 - 1], got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy's too, for JSON
-        if self.n_iter_gradient < 1 or self.n_off < 1 or self.n_pop < 1:
-            raise ValueError("iteration and population counts must be positive")
-        if self.n_gen < 0 or self.seed < 0:
-            raise ValueError("n_gen and seed must be nonnegative")
 
     def with_(self, **kwargs) -> "AttackBudget":
         return replace(self, **kwargs)

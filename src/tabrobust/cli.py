@@ -13,12 +13,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .attacks.budget import NORMS, AttackBudget
 from .data import DataError, load_dataset, save_dataset
 from .defense import AUGMENT_METHODS, ATConfig, AugmentConfig, adversarial_train, augment_dataset
-from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig, check
+from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .harness import SWEEP_AXES, SweepSpec, evaluate
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, TrainingDiverged, train
 from .parser import load_constraints, save_constraints
@@ -175,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
+    spec = SyntheticSpec(**_flags(args, [f.name for f in fields(SyntheticSpec)]))
     out_dir = Path(args.out or "dataset")
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = SyntheticSpec(**_flags(args, [f.name for f in fields(SyntheticSpec)]))
     dataset, schema, cs = generate_synthetic(spec, seed=args.seed or 0)
     save_dataset(dataset, schema, out_dir / "data.csv")
     schema.save(Path(args.schema or out_dir / "schema.json"))
@@ -211,9 +209,6 @@ def cmd_train(args) -> int:
 
 def cmd_advtrain(args) -> int:
     dataset, schema, cs = _load_bundle(args)
-    ok = check(cs, dataset.X)
-    if not ok.all():
-        raise DataError(f"row {np.flatnonzero(~ok)[0]} violates the constraints")
     cfg = _train_config(args)
     dataset = augment_dataset(
         dataset, schema, cs,

@@ -64,6 +64,12 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def is_int_at_least(value, low: int) -> bool:
+    """`value` is an integer (see `is_number`) in [low, 2**63 - 1], the
+    range of the 64-bit integers numpy takes for counts and seeds."""
+    return is_number(value, numbers.Integral) and low <= value <= 2**63 - 1
+
+
 def json_array(value, ndim: int, what: str) -> np.ndarray:
     """The parsed JSON `value` as a float array: `ndim` levels of nested
     lists, none ragged, of finite numbers (not bools or null); else a

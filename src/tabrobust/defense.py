@@ -10,16 +10,16 @@ of its bounds). A rejected draw is replaced by a fresh pair and mask in
 the next block, so every augmented row passes both `check` and
 `validate_against_schema`.
 
-Adversarial training replaces a fraction of each mini-batch with
-gradient-attack candidates generated against the current weights;
-invalid candidates revert to their clean originals, so the model never
-trains on constraint-violating inputs.
+Adversarial training checks its dataset against the constraints once,
+at entry, and rejects a dataset with an invalid row. It then replaces a
+fraction of each mini-batch with gradient-attack candidates generated
+against the current weights; invalid candidates revert to their clean
+originals, so the model never trains on constraint-violating inputs.
 """
 
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +27,8 @@ import numpy as np
 from .attacks.budget import AttackBudget
 from .attacks.capgd import capgd
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, fits_schema, is_finite_number, is_number
+from .data import (DataError, Dataset, DatasetSchema, fits_schema, is_finite_number,
+                   is_int_at_least, is_number)
 from .engine import DEFAULT_PENALTY_CONFIG, assignment_fix_rules, check, fix
 from .expressions import ConstraintSet
 from .mlp import ReferenceModel, TrainConfig, TrainHistory, train
@@ -50,8 +51,8 @@ class AugmentConfig:
             raise ValueError(f"unknown augmentation method {self.method!r}")
         if not (is_finite_number(self.ratio) and self.ratio >= 0):
             raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio!r}")
-        if not (is_number(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not is_int_at_least(self.seed, 0):
+            raise ValueError(f"seed must be an integer in [0, 2**63 - 1], got {self.seed!r}")
 
 
 @dataclass
@@ -146,8 +147,13 @@ def adversarial_train(
     replaced by gradient-attack candidates against the current weights;
     candidates failing validation revert to clean rows. With a zero
     inner eps this reduces exactly to standard training. Every row of
-    `dataset` must satisfy `cs`: each training batch is asserted to.
+    `dataset` must satisfy `cs`, else a DataError names the first row
+    that does not; with the candidates filtered by `validity_mask`,
+    every training batch then does.
     """
+    ok = check(cs, dataset.X)
+    if not ok.all():
+        raise DataError(f"row {np.flatnonzero(~ok)[0]} violates the constraints")
     budget = at_cfg.inner_budget
 
     def hook(Zb: np.ndarray, yb: np.ndarray, epoch: int) -> np.ndarray:
@@ -160,8 +166,6 @@ def adversarial_train(
                               DEFAULT_PENALTY_CONFIG)
         mixed = Zb.copy()
         mixed[:n_adv][valid] = out.candidates[valid]
-        raw = model.scaler.inverse_transform(mixed)
-        assert np.all(check(cs, raw)), "training batch violates constraints"
         return mixed
 
     return train(model, dataset, train_cfg, schema=schema, batch_hook=hook)

@@ -11,7 +11,6 @@ contains has been re-validated here, outside the attack code.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from .attacks import AttackBudget, caa
 from .attacks.caa import AttackResult
 from .attacks.validation import validity_mask
-from .data import Dataset, DatasetSchema, is_finite_number, is_number
+from .data import Dataset, DatasetSchema, is_finite_number, is_int_at_least, is_number
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .expressions import ConstraintSet
 from .metrics import classification_metrics
@@ -55,8 +54,9 @@ class SweepSpec:
             raise ValueError("sweep values must be finite and positive")
         if len(set(map(float, self.values))) < len(self.values):
             raise ValueError(f"sweep values must not repeat, got {self.values}")
-        if type(defaults[0]) is int and not all(float(v).is_integer() for v in self.values):
-            raise ValueError(f"{self.axis} sweep values must be integers")
+        integral = all(float(v).is_integer() and is_int_at_least(int(v), 1) for v in self.values)
+        if type(defaults[0]) is int and not integral:
+            raise ValueError(f"{self.axis} sweep values must be integers in [1, 2**63 - 1]")
 
 
 class EmptyAttackSet(ValueError):
@@ -75,8 +75,8 @@ def select_attack_set(
     Larger sets are subsampled to `cap` rows (seeded, order-preserving)
     to keep desk-scale runs tractable.
     """
-    if cap is not None and not (is_number(cap, numbers.Integral) and cap >= 1):
-        raise ValueError(f"cap must be None or an integer >= 1, got {cap!r}")
+    if cap is not None and not is_int_at_least(cap, 1):
+        raise ValueError(f"cap must be None or an integer in [1, 2**63 - 1], got {cap!r}")
     preds = model.predict(dataset.X)
     mask = (dataset.y == schema.critical_class) & (preds == dataset.y)
     indices = np.where(mask)[0]

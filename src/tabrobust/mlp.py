@@ -12,7 +12,6 @@ adaptive moments; everything is driven by one seeded generator, so a
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -25,6 +24,7 @@ from .data import (
     DatasetSchema,
     MinMaxScaler,
     is_finite_number,
+    is_int_at_least,
     is_number,
     json_array,
     json_field,
@@ -55,17 +55,14 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            if not is_number(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            if not is_int_at_least(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer in [{low}, 2**63 - 1], "
+                                 f"got {getattr(self, name)!r}")
         for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
                      "validation_fraction"):
             if not is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if self.epochs < 0 or self.batch_size <= 0:
-            raise ValueError("epochs must be >= 0 and batch size positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (is_finite_number(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):

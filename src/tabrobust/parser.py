@@ -11,13 +11,19 @@ One constraint per line, `#` comments. Grammar:
                 | "min(" expr {"," expr} ")" | "max(" expr {"," expr} ")"
                 | "(" expr ")"
 
-Numbers may carry a leading minus at atom position. Feature references
-are either a declared column name or the canonical F<k> form; both
-resolve to integer indices at parse time.
+Numbers may carry a leading minus at atom position and must fit a
+float. Feature references are either a declared column name or the
+canonical F<k> form; both resolve to integer indices at parse time.
+
+An expression may be at most _MAX_DEPTH levels deep. Each parenthesis
+and function argument is a level, and so is each link of an operator
+chain: `F0 + F1 + F2` is two levels below its own, as deep as the tree
+it builds, which evaluation and gradients walk recursively.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Union
@@ -142,66 +148,75 @@ class _Parser:
         return c
 
     def parse_relation(self) -> Relation:
-        left = self.parse_expr()
+        left, _ = self.parse_expr()
         tok = self.current
         if tok.kind != "op" or tok.text not in RELATION_OPS:
             got = tok.text if tok.text else "end of input"
             raise self.error(f"expected a relational operator, found {got!r}")
         self.advance()
-        right = self.parse_expr()
+        right, _ = self.parse_expr()
         return Relation(tok.text, left, right)
 
-    def parse_expr(self) -> NumExpr:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
+    def nest(self, depth: int) -> int:
+        """`depth` levels below the expressions enclosing this one; past
+        _MAX_DEPTH levels in all is an error."""
+        if self.depth + depth > _MAX_DEPTH:
             raise self.error("expression nested too deeply")
+        return depth
+
+    def parse_expr(self) -> tuple[NumExpr, int]:
+        """An expression and its depth: its own level, and one level for
+        each link of an operator chain over the deeper of the link's two
+        sides (so a chain of n terms is n - 1 levels deep)."""
+        self.depth += 1
         try:
-            node = self.parse_term()
+            self.nest(0)
+            node, depth = self.parse_term()
             while self.current.kind == "op" and self.current.text in ("+", "-"):
-                op = self.advance().text
-                rhs = self.parse_term()
-                node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-            return node
+                make = Add if self.advance().text == "+" else Sub
+                rhs, rhs_depth = self.parse_term()
+                node, depth = make(node, rhs), self.nest(max(depth, rhs_depth) + 1)
+            return node, depth + 1
         finally:
             self.depth -= 1
 
-    def parse_term(self) -> NumExpr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[NumExpr, int]:
+        node, depth = self.parse_factor()
         while self.current.kind == "op" and self.current.text in ("*", "/"):
-            op = self.advance().text
-            rhs = self.parse_factor()
-            node = Mul(node, rhs) if op == "*" else SafeDiv(node, rhs)
-        return node
+            make = Mul if self.advance().text == "*" else SafeDiv
+            rhs, rhs_depth = self.parse_factor()
+            node, depth = make(node, rhs), self.nest(max(depth, rhs_depth) + 1)
+        return node, depth
 
-    def parse_factor(self) -> NumExpr:
-        base = self.parse_atom()
+    def parse_factor(self) -> tuple[NumExpr, int]:
+        base, depth = self.parse_atom()
         if self.current.kind == "op" and self.current.text == "^":
             self.advance()
-            exponent = self.parse_atom()
-            return Pow(base, exponent)
-        return base
+            exponent, exponent_depth = self.parse_atom()
+            return Pow(base, exponent), self.nest(max(depth, exponent_depth) + 1)
+        return base, depth
 
-    def parse_atom(self) -> NumExpr:
+    def parse_atom(self) -> tuple[NumExpr, int]:
         tok = self.current
-        if tok.kind == "op" and tok.text == "-":
-            # Signed literal; no general unary negation in the grammar.
-            self.advance()
-            num = self.expect("number")
-            return Constant(-float(num.text))
-        if tok.kind == "number":
-            self.advance()
-            return Constant(float(tok.text))
+        if tok.kind == "number" or tok.text == "-":
+            # A literal, signed or not; no general unary negation in the grammar.
+            if tok.text == "-":
+                self.advance()
+            value = float(self.expect("number").text)
+            if not math.isfinite(value):
+                raise ConstraintParseError("number too large for a float", self.line, tok.column)
+            return Constant(-value if tok.text == "-" else value), 0
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            inner = self.parse_expr()
             self.expect("op", ")")
-            return node
+            return inner
         if tok.kind == "keyword" and tok.text in _FUNCTIONS:
             self.advance()
             self.expect("op", "(")
-            node = self.parse_expr()
+            node, depth = self.parse_expr()
             self.expect("op", ")")
-            return _FUNCTIONS[tok.text](node)
+            return _FUNCTIONS[tok.text](node), depth
         if tok.kind == "keyword" and tok.text in ("min", "max"):
             self.advance()
             self.expect("op", "(")
@@ -210,7 +225,8 @@ class _Parser:
                 self.advance()
                 args.append(self.parse_expr())
             self.expect("op", ")")
-            return Min(tuple(args)) if tok.text == "min" else Max(tuple(args))
+            nodes, depths = zip(*args)
+            return (Min if tok.text == "min" else Max)(nodes), max(depths)
         if tok.kind == "name":
             self.advance()
             try:
@@ -219,7 +235,7 @@ class _Parser:
                 raise ConstraintParseError(
                     f"unknown feature name {tok.text!r}", self.line, tok.column
                 ) from None
-            return Feature(idx)
+            return Feature(idx), 0
         got = tok.text if tok.text else "end of input"
         raise self.error(f"expected a value, found {got!r}")
 

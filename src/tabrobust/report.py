@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-from .data import DataError, is_number, json_field
+from .data import DataError, is_finite_number, json_field
 
 REPORT_VERSION = 1
 
@@ -51,7 +51,12 @@ class BudgetEntry:
     def from_dict(cls, d: dict, wall_time: float = 0.0) -> "BudgetEntry":
         if not isinstance(d, dict):
             raise DataError(f"report budget entry must be a JSON object, got {type(d).__name__}")
-        return cls(wall_time=wall_time, **_read_fields(cls, d, "report", ("wall_time",)))
+        values = _read_fields(cls, d, "report", ("wall_time",))
+        for name in ("robust_accuracy_constrained", "robust_accuracy_unconstrained"):
+            if not (is_finite_number(values[name]) and 0 <= values[name] <= 1):
+                raise DataError(f"report field {name!r} must be a finite number in [0, 1], "
+                                f"got {values[name]!r}")
+        return cls(wall_time=wall_time, **values)
 
 
 @dataclass
@@ -100,9 +105,9 @@ class EvaluationReport:
         for name, entries in (("clean", values["clean"].items()),
                               ("attack_seconds", enumerate(times))):
             for key, value in entries:
-                if not is_number(value):
-                    raise DataError(f"report field {name!r} entry {key!r} must be a number, "
-                                    f"got {type(value).__name__}")
+                if not is_finite_number(value):
+                    raise DataError(f"report field {name!r} entry {key!r} must be a finite "
+                                    f"number, got {value!r}")
         return cls(
             **values,
             budgets=budgets,

@@ -19,12 +19,11 @@ Feature layout (raw units):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler, is_finite_number, is_number
+from .data import Dataset, DatasetSchema, FeatureMetadata, MinMaxScaler, is_finite_number, is_int_at_least
 from .engine import PenaltyConfig, check
 from .expressions import ConstraintSet
 from .parser import parse_constraint
@@ -51,13 +50,11 @@ class SyntheticSpec:
             raise InfeasibleSpec(
                 f"unknown template {self.template!r}; pick one of {TEMPLATES}"
             )
-        for name in ("n_rows", "n_features"):
-            if not is_number(getattr(self, name), numbers.Integral):
-                raise InfeasibleSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_features < 6:
-            raise InfeasibleSpec("templates need at least 6 features")
-        if self.n_rows < 2:
-            raise InfeasibleSpec("need at least 2 rows")
+        # The templates need 6 features, and a split needs 2 rows.
+        for name, low in (("n_rows", 2), ("n_features", 6)):
+            if not is_int_at_least(getattr(self, name), low):
+                raise InfeasibleSpec(f"{name} must be an integer in [{low}, 2**63 - 1], "
+                                     f"got {getattr(self, name)!r}")
         if not (is_finite_number(self.label_noise) and self.label_noise >= 0):
             raise InfeasibleSpec(
                 f"label_noise must be finite and nonnegative, got {self.label_noise}"

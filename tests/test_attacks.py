@@ -123,9 +123,15 @@ class TestAttackBudget:
         ({"n_pop": True}, "n_pop must be an integer"),
         ({"n_iter_gradient": "10"}, "n_iter_gradient must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
-        ({"seed": -1}, "seed must be nonnegative"),
+        ({"seed": -1}, r"seed must be an integer in \[0, 2\*\*63 - 1\], got -1"),
         ({"eps": 10**400}, "eps must be finite"),  # past float's range
         ({"lam": 10**400}, "lam must be finite"),
+        # Past numpy's 64-bit integers: n_pop crashed the search.
+        *(({name: big}, rf"{name} must be an integer in \[{low}, 2\*\*63 - 1\]")
+          for name, low in (("n_iter_gradient", 1), ("n_gen", 0), ("n_off", 1), ("n_pop", 1),
+                            ("seed", 0))
+          for big in (2**63, 10**400)),
+        ({"n_pop": 0}, r"n_pop must be an integer in \[1, 2\*\*63 - 1\], got 0"),
     ])
     def test_rejects_values_that_break_a_stage(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ import pytest
 from tabrobust import defense
 from tabrobust.attacks import AttackBudget
 from tabrobust.data import (
+    DataError,
     Dataset,
     DatasetSchema,
     FeatureMetadata,
@@ -206,7 +207,7 @@ class TestCutmix:
 
 def test_negative_augment_seed_rejected():
     for seed in (-1, np.int64(-3)):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63 - 1\]"):
             AugmentConfig(seed=seed)
 
 
@@ -219,16 +220,29 @@ def test_negative_augment_seed_rejected():
     (SyntheticSpec, "label_noise"),
 ])
 def test_config_fields_are_type_checked(config, field):
-    # Bools and strings are never numbers; a count field takes no float,
-    # and a real field no integer past float's range.
+    # Bools and strings are never numbers; a count field takes no float
+    # and no integer past numpy's 64-bit range, and a real field no
+    # integer past float's range.
     counts = ("seed", "n_rows", "n_features")
-    for value in (True, "0.5", None, *((10.5, 7.0) if field in counts else (10**400,))):
+    for value in (True, "0.5", None,
+                  *((10.5, 7.0, 2**63, 10**400) if field in counts else (10**400,))):
         with pytest.raises(ValueError, match=field):
             config(**{field: value})
     config(**{field: np.int64(7) if field in counts else np.float64(0.5)})
 
 
 class TestAdversarialTrain:
+    def test_invalid_row_rejected_at_entry(self):
+        # One broken row among 400 trained without an error; a batch of
+        # them failed an assert that `python -O` strips.
+        dataset, schema, cs = generate_synthetic(SyntheticSpec(n_rows=400), seed=4)
+        X = dataset.X.copy()
+        X[3, 0] += 1.0  # breaks F0 == F1 + F2
+        model = ReferenceModel(schema.n_features, seed=0)
+        with pytest.raises(DataError, match="^row 3 violates the constraints$"):
+            adversarial_train(model, Dataset(X, dataset.y), cs, ATConfig(),
+                              TrainConfig(epochs=1), schema)
+
     def test_zero_inner_eps_equals_standard_training(self, bench):
         dataset, schema, cs = bench
         tc = TrainConfig(epochs=3, seed=5)

@@ -53,8 +53,9 @@ class TestSelectAttackSet:
 
     def test_cap_must_be_none_or_positive_integer(self, small_bench):
         model, dataset, schema, _ = small_bench
-        for cap in (0, -3, 2.5, True):
-            with pytest.raises(ValueError, match="cap must be None or an integer >= 1"):
+        for cap in (0, -3, 2.5, True, 2**63, 10**400):
+            with pytest.raises(ValueError,
+                               match=r"cap must be None or an integer in \[1, 2\*\*63 - 1\]"):
                 select_attack_set(model, dataset, schema, cap=cap)
 
     def test_all_wrong_class_is_error(self, small_bench):
@@ -187,6 +188,9 @@ class TestSweep:
             SweepSpec(axis="zeps")
         with pytest.raises(ValueError, match="integers"):
             SweepSpec(axis="search_iters", values=[2.2, 2.7])
+        for big in (2**63, 1e30):
+            with pytest.raises(ValueError, match=r"integers in \[1, 2\*\*63 - 1\]"):
+                SweepSpec(axis="gradient_iters", values=[5, big])
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(axis="eps", values=[float("nan"), 0.5])
         with pytest.raises(ValueError, match="finite"):
@@ -379,7 +383,7 @@ class TestCli:
             ('{"n_off": 3.0}', "n_off must be an integer"),
             ('{"n_pop": true}', "n_pop must be an integer"),
             ('{"seed": 1.5}', "seed must be an integer"),
-            ('{"seed": -1}', "seed must be nonnegative"),
+            ('{"seed": -1}', "seed must be an integer in [0, 2**63 - 1], got -1"),
             ("[]", "config must be a JSON object, got list"),
             ('{"epochs": 5}', "unknown config keys: ['epochs']"),
             ('{"tolerance": "0.1"}', "tolerance must be finite"),
@@ -429,7 +433,7 @@ class TestCli:
         config.write_text('{"seed": -1}')
         assert cli_main(["train", "--data", str(cli_dataset), "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 1
-        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert "seed must be an integer in [0, 2**63 - 1], got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_malformed_schema_exits_one(self, cli_dataset, tmp_path, capsys):
@@ -461,6 +465,12 @@ class TestCli:
             ("train", [], {"learning_rate": big}, "learning rate must be finite"),
             ("attack", model, None, "schema feature 0 field 'max' is an integer too large"),
             ("train", [], None, "schema feature 0 field 'max' is an integer too large"),
+            # Integer settings past numpy's 64-bit range; n_pop crashed the search.
+            ("attack", model, {"n_pop": big}, "n_pop must be an integer in [1, 2**63 - 1]"),
+            ("attack", model, {"seed": 2**63}, "seed must be an integer in [0, 2**63 - 1]"),
+            ("train", [], {"epochs": big}, "epochs must be an integer in [0, 2**63 - 1]"),
+            ("train", [], {"batch_size": 2**63},
+             "batch_size must be an integer in [1, 2**63 - 1]"),
         ):
             config.write_text(json.dumps(text or {}))
             flags = ["--schema", str(bad_schema)] if text is None else []
@@ -470,6 +480,20 @@ class TestCli:
                  "--out", str(tmp_path / "out")]
             ) == 1, (command, message)
             assert message in capsys.readouterr().err
+        assert cli_main(["synth", "--rows", str(big), "--out", str(tmp_path / "out")]) == 1
+        assert "n_rows must be an integer in [2, 2**63 - 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overlong_constraint_chain_exits_one(self, cli_dataset, cli_model, tmp_path, capsys):
+        # A 1000-term sum parsed, then hit the recursion limit (exit 2).
+        constraints = tmp_path / "constraints.txt"
+        constraints.write_text(" + ".join(["F0"] * 1000) + " <= 1\n")
+        capsys.readouterr()
+        assert cli_main(
+            ["attack", "--model", str(cli_model), "--data", str(cli_dataset),
+             "--constraints", str(constraints), "--out", str(tmp_path / "out")]
+        ) == 1
+        assert "line 1, column 1004: expression nested too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_advtrain_rejects_constraint_violating_row(self, cli_dataset, tmp_path, capsys):
@@ -557,8 +581,9 @@ class TestCli:
         common = ["--model", str(cli_model), "--data", str(cli_dataset),
                   "--out", str(tmp_path / "out")]
         for argv, message in (
-            (["attack", "--cap", "0"], "cap must be None or an integer >= 1, got 0"),
-            (["attack", "--cap", "-3"], "cap must be None or an integer >= 1, got -3"),
+            (["attack", "--cap", "0"], "cap must be None or an integer in [1, 2**63 - 1], got 0"),
+            (["attack", "--cap", "-3"],
+             "cap must be None or an integer in [1, 2**63 - 1], got -3"),
             (["sweep", "--axis", "eps", "--values", "0.5,0.5", "--cap", "2"],
              "sweep values must not repeat"),
             (["sweep", "--axis", "gradient_iters", "--values", "5,5.0", "--cap", "2"],
@@ -610,9 +635,16 @@ class TestCli:
             ({**report, "version": 99}, "unsupported report version 99"),
             (unversioned, "unsupported report version None"),
             ({**report, "clean": {"accuracy": "x"}},
-             "report field 'clean' entry 'accuracy' must be a number, got str"),
+             "report field 'clean' entry 'accuracy' must be a finite number, got 'x'"),
+            ({**report, "clean": {"accuracy": float("nan")}},
+             "report field 'clean' entry 'accuracy' must be a finite number, got nan"),
             ({**report, "timing": {"attack_seconds": ["x"]}},
-             "report field 'attack_seconds' entry 0 must be a number, got str"),
+             "report field 'attack_seconds' entry 0 must be a finite number, got 'x'"),
+            # One NaN robust accuracy scrambled the leaderboard's sort.
+            *(({**report, "budgets": [{**entry, field: value}]},
+               f"report field {field!r} must be a finite number in [0, 1], got {value!r}")
+              for field in ("robust_accuracy_constrained", "robust_accuracy_unconstrained")
+              for value in (float("nan"), float("inf"), -3.0, 7.5)),
             ([], "report must be a JSON object, got list"),
             ({**report, "budgets": 5}, "report field 'budgets' must be list, got int"),
             ({**report, "seed": "0"}, "report field 'seed' must be int, got str"),

@@ -219,6 +219,10 @@ class TestTrainConfig:
         ({"adam_eps": 0.0}, "adam_eps must be finite and positive"),
         ({"adam_eps": float("inf")}, "adam_eps must be finite and positive"),
         ({"adam_eps": 10**400}, "adam_eps must be finite and positive"),
+        ({"epochs": 10**400}, r"epochs must be an integer in \[0, 2\*\*63 - 1\]"),
+        ({"batch_size": 2**63}, r"batch_size must be an integer in \[1, 2\*\*63 - 1\]"),
+        ({"batch_size": 0}, r"batch_size must be an integer in \[1, 2\*\*63 - 1\], got 0"),
+        ({"seed": 2**63}, r"seed must be an integer in \[0, 2\*\*63 - 1\]"),
     ])
     def test_field_types_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -231,7 +235,7 @@ class TestTrainConfig:
     def test_negative_seed_rejected(self):
         # numpy's generator would refuse it later without naming the field.
         for seed in (-1, np.int64(-3)):
-            with pytest.raises(ValueError, match="seed must be nonnegative"):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63 - 1\]"):
                 TrainConfig(seed=seed)
 
 

@@ -1,10 +1,12 @@
 """Constraint language: parsing, constraint files, totality."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabrobust.data import DatasetSchema, FeatureMetadata
+from tabrobust.engine import check
 from tabrobust.expressions import (
     Abs,
     Add,
@@ -20,6 +22,7 @@ from tabrobust.expressions import (
     Relation,
     SafeDiv,
     Sub,
+    evaluate_expr,
 )
 from tabrobust.parser import (
     ConstraintParseError,
@@ -135,6 +138,31 @@ class TestParseErrors:
         text = "(" * 500 + "F0" + ")" * 500 + " == 1"
         with pytest.raises(ConstraintParseError, match="nested too deeply"):
             parse_constraint(text, SCHEMA)
+
+    def test_long_operator_chains_rejected_not_crashing(self):
+        # Each link is one level of the tree that evaluation walks
+        # recursively: a 600-term sum parsed, then crashed in `check`.
+        nested = "F0"
+        for _ in range(10):  # a chain as the left operand of the next
+            nested = f"({nested}{' + F1' * 50})"
+        for text in (" + ".join(["F0"] * 1000), " * ".join(["F0"] * 1000),
+                     " - ".join(["F0"] * 201), nested):
+            with pytest.raises(ConstraintParseError, match="nested too deeply"):
+                parse_constraint(text + " <= 1", SCHEMA)
+
+    def test_long_chains_and_deep_parentheses_within_the_limit(self):
+        c = parse_constraint(" + ".join(["F0"] * 150) + " == 150", SCHEMA)
+        assert evaluate_expr(c.left, np.ones(8)) == 150.0
+        assert check(ConstraintSet([c]), np.ones((2, 8))).all()
+        text = "(" * 199 + "F0" + ")" * 199 + " == 1"
+        assert parse_constraint(text, SCHEMA) == Relation("==", Feature(0), Constant(1.0))
+
+    @pytest.mark.parametrize("text", ["F0 <= 1e400", "F0 >= -1e400", "F0 == 1e400 * F1"])
+    def test_number_past_float_range_rejected(self, text):
+        # 1e400 parsed to inf, and the penalty of `F0 == 1e400 * F1` to NaN.
+        with pytest.raises(ConstraintParseError,
+                           match="line 3, column 7: number too large for a float"):
+            parse_constraint(text, SCHEMA, line=3)
 
 
 class TestRoundTrip:

@@ -9,6 +9,9 @@ string). A name only other tests reach is surface nothing needs.
 A parameter other than `self` and `cls` must be read in its function's
 body, nested functions included; the few that callers or a fixed
 callback signature require are listed with their reasons.
+
+No `assert` statement is in src/tabrobust/: `python -O` strips them, so
+a check the library relies on raises instead.
 """
 
 import ast
@@ -98,3 +101,9 @@ def test_every_parameter_is_read():
     assert not extra, f"parameters nothing reads: {extra}"
     stale = sorted(UNREAD_PARAMETERS.keys() - unread)
     assert not stale, f"listed as unread, but read: {stale}"
+
+
+def test_no_assert_in_the_library():
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements, which python -O strips: {found}"

@@ -62,12 +62,14 @@ class TestSpecValidation:
             SyntheticSpec(template="nope")
 
     def test_too_few_features(self):
-        with pytest.raises(InfeasibleSpec, match="at least 6"):
+        with pytest.raises(InfeasibleSpec,
+                           match=r"n_features must be an integer in \[6, 2\*\*63 - 1\], got 3"):
             SyntheticSpec(n_features=3)
 
     def test_too_few_rows(self):
-        with pytest.raises(InfeasibleSpec):
-            SyntheticSpec(n_rows=1)
+        for n_rows in (1, 2**63, 10**400):
+            with pytest.raises(InfeasibleSpec, match=r"n_rows must be an integer in \[2, "):
+                SyntheticSpec(n_rows=n_rows)
 
     def test_label_noise_finite_and_nonnegative(self):
         for noise in (-1.0, float("nan"), float("inf")):
