@@ -4,10 +4,12 @@ Rows carrying a candidate from an earlier budget are settled first; the
 gradient attack then runs batched over the rest, and the search attack
 runs row by row (one RNG stream per row) on whatever is still not
 attacked; `n_gen` is a maximum, as each row's search stops once it
-holds a success the settle step will accept. Every stage's candidates
-go through one settle step: one batched validation, the attempt
-recorded, and a row finalized by the first stage whose candidate is
-misclassified and valid. Rows no stage wins keep the original input.
+holds a success the settle step will accept. One settle step judges
+every stage's candidates and takes no flag from the stage: one forward
+pass scores them by `mlp.misclassified`, one batch validates them, the
+attempts are recorded, and a row is finalized by the first stage whose
+candidate is misclassified and valid. Rows no stage wins keep the
+original input.
 Per-stage best attempts are kept so the harness can re-validate the
 same outputs under different validation modes (e.g. ignoring domain
 constraints).
@@ -24,7 +26,7 @@ import numpy as np
 from ..data import DatasetSchema
 from ..engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from ..expressions import ConstraintSet
-from ..mlp import ReferenceModel
+from ..mlp import ReferenceModel, misclassified
 from .budget import AttackBudget
 from .capgd import capgd
 from .moeva import moeva
@@ -87,10 +89,11 @@ def caa(
         for r, z in zip(row_indices, Z)
     ]
 
-    def settle(stage: str, idx: np.ndarray, cands: np.ndarray, mis: np.ndarray) -> None:
-        """Record each row's attempt and finalize the rows it wins. A
-        carried candidate comes from another budget, so it is recorded
-        only when it wins at this one."""
+    def settle(stage: str, idx: np.ndarray, cands: np.ndarray) -> None:
+        """Judge a stage's candidates, record each row's attempt and
+        finalize the rows it wins. A carried candidate comes from
+        another budget, so it is recorded only when it wins at this one."""
+        mis = misclassified(model.predict_proba_scaled(cands), y[idx])
         hits = mis & validity_mask(schema, model.scaler, cs, Z[idx], cands, budget, cfg)
         for i, cand, hit in zip(idx, cands, hits):
             if hit or stage != "carried":
@@ -105,24 +108,18 @@ def caa(
     known = known_candidates or {}
     idx = np.array([i for i, r in enumerate(row_indices) if int(r) in known], dtype=int)
     if idx.size:
-        cands = np.array([known[int(row_indices[i])] for i in idx], dtype=float)
-        settle("carried", idx, cands, model.predict_proba_scaled(cands).argmax(axis=1) != y[idx])
+        settle("carried", idx, np.array([known[int(row_indices[i])] for i in idx], dtype=float))
 
     idx = pending()
     if idx.size:
-        out = capgd(model, cs, Z[idx], y[idx], budget, schema, cfg)
-        settle("gradient", idx, out.candidates, out.misclassified)
+        settle("gradient", idx, capgd(model, cs, Z[idx], y[idx], budget, schema, cfg).candidates)
 
     idx = pending()
     if budget.n_gen > 0 and idx.size:
-        outs = [
-            moeva(model, cs, Z[i], int(y[i]), budget, schema, cfg, row_seed=int(row_indices[i]))
+        settle("search", idx, np.array([
+            moeva(model, cs, Z[i], int(y[i]), budget, schema, cfg,
+                  row_seed=int(row_indices[i])).candidate
             for i in idx
-        ]
-        settle(
-            "search", idx,
-            np.array([o.candidate for o in outs]),
-            np.array([o.misclassified for o in outs]),
-        )
+        ]))
 
     return AttackResult(samples=samples, wall_time=time.perf_counter() - start)

@@ -44,7 +44,7 @@ from ..engine import (
     total_penalty_with_gradient,
 )
 from ..expressions import ConstraintSet
-from ..mlp import ReferenceModel, cross_entropy
+from ..mlp import ReferenceModel, cross_entropy, misclassified
 from .budget import AttackBudget, checkpoint_schedule
 from .projection import distance, in_ball_and_box, project
 
@@ -74,7 +74,7 @@ def _objective_pieces(
     pen, pen_grad_raw = total_penalty_with_gradient(cs, X)
     ce_grad, probs = model.input_gradient(Z, y, with_proba=True)
     pieces = (cross_entropy(probs, y), pen, ce_grad, pen_grad_raw * scaler.width_)
-    return pieces, probs.argmax(axis=1) != y, X
+    return pieces, misclassified(probs, y), X
 
 
 def _objective(pieces, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +160,7 @@ def capgd(
             eligible = moved & in_ball_and_box(z_fixed, dist_f, budget.eps)
             if np.any(eligible):
                 pen_f = total_penalty(cs, scaler.inverse_transform(z_fixed))
-                mis_f = model.predict_proba_scaled(z_fixed).argmax(axis=1) != y
+                mis_f = misclassified(model.predict_proba_scaled(z_fixed), y)
                 offer(z_fixed, mis_f, pen_f, dist_f, eligible)
 
         improvements += obj_next > obj_cur

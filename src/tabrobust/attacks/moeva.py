@@ -55,7 +55,7 @@ from ..engine import (
     total_penalty,
 )
 from ..expressions import ConstraintSet
-from ..mlp import ReferenceModel
+from ..mlp import ReferenceModel, misclassified
 from .budget import AttackBudget
 from .capgd import _lex_less
 from .projection import distance, in_ball_and_box, project
@@ -70,7 +70,6 @@ class SearchAttackOutput:
     """Best candidate of the search stage for one sample."""
 
     candidate: np.ndarray
-    misclassified: bool
     success: bool  # misclassified and feasible (ball + penalty tolerance)
     trace: list[tuple[float, float, float]] = field(default_factory=list)
 
@@ -273,14 +272,13 @@ def moeva(
         return pop
 
     def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objectives and the misclassification mask (argmax != y, the
-        rule every stage uses)."""
+        """Objectives and the misclassification mask."""
         probs = model.predict_proba_scaled(pop)
         f1 = probs[:, y]
         f2 = distance(pop, z0[None, :], budget.norm)
         f3 = total_penalty(cs, scaler.inverse_transform(pop))
         F = np.stack([f1, f2, f3], axis=1)
-        return F, probs.argmax(axis=1) != y
+        return F, misclassified(probs, y)
 
     # Seed population: the original plus uniform perturbations of
     # radius eps/2 on mutable coordinates, repaired.
@@ -307,7 +305,6 @@ def moeva(
             best_key = key
             best = SearchAttackOutput(
                 candidate=pop_arr[top].copy(),
-                misclassified=bool(mis[top]),
                 success=bool(succ[top]),
             )
 

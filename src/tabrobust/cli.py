@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .attacks.budget import NORMS, AttackBudget
-from .data import DataError, load_dataset, save_dataset
+from .data import DataError, MinMaxScaler, load_dataset, save_dataset
 from .defense import AUGMENT_METHODS, ATConfig, AugmentConfig, adversarial_train, augment_dataset
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .harness import SWEEP_AXES, SweepSpec, evaluate
@@ -50,23 +50,11 @@ def _load_bundle(args):
     return dataset, schema, cs
 
 
-# Flag (argparse dest) -> the config key or keyword it sets. Each of
-# these flags defaults to None, so the library owns every default.
-_FLAG_KEYS = {
-    "epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
-    "norm": "norm", "eps": "eps", "gradient_iters": "n_iter_gradient", "n_gen": "n_gen",
-    "seed": "seed", "rows": "n_rows", "features": "n_features", "template": "template",
-    "noise": "label_noise", "inner_iters": "n_iter_gradient", "replay": "replay_fraction",
-    "augment_ratio": "ratio", "cap": "cap", "name": "model_name", "defense": "defense",
-}
-
-
 def _flags(args, keys) -> dict:
-    """The given flags whose config key is among `keys`, by key."""
-    return {
-        key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
-        if key in keys and getattr(args, flag, None) is not None
-    }
+    """The given flags among `keys`. A flag's dest is the config key or
+    keyword it sets, and defaults to None, so the library owns every
+    default."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _config(args, keys) -> dict:
@@ -104,14 +92,14 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", required=True, help="dataset directory or CSV")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", type=int)
-    sub.add_argument("--lr", type=float)
+    sub.add_argument("--lr", type=float, dest="learning_rate")
 
 
 def _add_attack_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True)
     sub.add_argument("--data", required=True)
     sub.add_argument("--cap", type=int)
-    sub.add_argument("--name")
+    sub.add_argument("--name", dest="model_name")
     sub.add_argument("--defense")
 
 
@@ -123,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("synth", help="generate a synthetic constrained dataset")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--features", type=int)
+    p.add_argument("--rows", type=int, dest="n_rows")
+    p.add_argument("--features", type=int, dest="n_features")
     p.add_argument("--template")
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise", type=float, dest="label_noise")
 
     p = subs.add_parser("train", help="train the reference classifier")
     _add_train_flags(p)
@@ -135,16 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--norm", choices=NORMS)
-    p.add_argument("--inner-iters", type=int)
-    p.add_argument("--replay", type=float)
+    p.add_argument("--inner-iters", type=int, dest="n_iter_gradient")
+    p.add_argument("--replay", type=float, dest="replay_fraction")
     p.add_argument("--augment", choices=AUGMENT_METHODS, default="none")
-    p.add_argument("--augment-ratio", type=float)
+    p.add_argument("--augment-ratio", type=float, dest="ratio")
 
     p = subs.add_parser("attack", help="evaluate robust accuracy under attack")
     _add_attack_flags(p)
     p.add_argument("--eps", type=float)
     p.add_argument("--norm", choices=NORMS)
-    p.add_argument("--gradient-iters", type=int)
+    p.add_argument("--gradient-iters", type=int, dest="n_iter_gradient")
     p.add_argument("--n-gen", type=int)
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
 
@@ -236,6 +224,12 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             f"model {args.model} takes {model.n_features} features, "
             f"but the schema has {schema.n_features}"
+        )
+    # The attack searches the scaler's [0, 1] box, and validation the
+    # schema's bounds: they must be the same box.
+    if model.scaler.to_dict() != MinMaxScaler.from_schema(schema).to_dict():
+        raise DataError(
+            f"model {args.model} was trained for other feature bounds than the schema's"
         )
     budget, cfg = _attack_budget(args)
     if args.command == "attack":

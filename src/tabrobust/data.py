@@ -125,19 +125,27 @@ class FeatureMetadata:
             raise DataError(f"feature {self.name!r}: need min <= max, got {self.min}, {self.max}")
         if (self.kind == "categorical") != (self.onehot_group is not None):
             raise DataError(f"feature {self.name!r}: onehot_group set iff kind is categorical")
+        # Projection and mutation write a one-hot column as scaled 0 or
+        # 1, which is the raw min or max.
+        if self.kind == "categorical" and (self.min, self.max) != (0, 1):
+            raise DataError(
+                f"categorical feature {self.name!r}: bounds must be [0, 1], "
+                f"got [{self.min}, {self.max}]"
+            )
 
 
 @dataclass
 class DatasetSchema:
     """Features and the critical class, plus the column facts the attacks
     and Cutmix read, built once as read-only arrays: per column the
-    `mutable`, `integer` and `typed` (integer or categorical) masks,
-    bounds `lo`, `hi` and `slot_of`; column indices `immutable` and
-    `int_cols`; the slots (each one-hot group whole, every other column
-    alone) and groups in order of first column, as their columns one
-    after another (`slot_cols`, `group_cols`) and sizes (`slot_sizes`,
-    `group_sizes`); the `group_keys`; and each group column's group and
-    position in it (`group_of`, `group_pos`).
+    `mutable` (declared mutable, with min < max), `integer` and `typed`
+    (integer or categorical) masks, bounds `lo`, `hi` and `slot_of`;
+    column indices `immutable` and `int_cols`; the slots (each one-hot
+    group whole, every other column alone) and groups in order of first
+    column, as their columns one after another (`slot_cols`,
+    `group_cols`) and sizes (`slot_sizes`, `group_sizes`); the
+    `group_keys`; and each group column's group and position in it
+    (`group_of`, `group_pos`).
     """
 
     features: tuple[FeatureMetadata, ...]
@@ -155,7 +163,9 @@ class DatasetSchema:
             groups.setdefault(f.onehot_group, []).append(i)
         slots = sorted([[i] for i in groups.pop(None, [])] + list(groups.values()))
         cols, sizes = list(groups.values()), [len(c) for c in groups.values()]
-        self.mutable = np.array([f.mutable for f in feats], dtype=bool)
+        # A feature with one legal value is fixed: the scaler clamps its
+        # width to 1, so any move would leave that value.
+        self.mutable = np.array([f.mutable and f.min != f.max for f in feats], dtype=bool)
         self.integer = np.array([f.kind == "integer" for f in feats], dtype=bool)
         self.typed = np.array([f.kind != "continuous" for f in feats], dtype=bool)
         self.lo = np.array([f.min for f in feats], dtype=float)

@@ -23,7 +23,7 @@ from .data import Dataset, DatasetSchema, is_finite_number, is_int_at_least, is_
 from .engine import DEFAULT_PENALTY_CONFIG, PenaltyConfig
 from .expressions import ConstraintSet
 from .metrics import classification_metrics
-from .mlp import ReferenceModel
+from .mlp import ReferenceModel, misclassified
 from .report import BudgetEntry, EvaluationReport
 
 DEFAULT_ATTACK_CAP = 500
@@ -77,8 +77,8 @@ def select_attack_set(
     """
     if cap is not None and not is_int_at_least(cap, 1):
         raise ValueError(f"cap must be None or an integer in [1, 2**63 - 1], got {cap!r}")
-    preds = model.predict(dataset.X)
-    mask = (dataset.y == schema.critical_class) & (preds == dataset.y)
+    mis = misclassified(model.predict_proba(dataset.X), dataset.y)
+    mask = (dataset.y == schema.critical_class) & ~mis
     indices = np.where(mask)[0]
     if indices.size == 0:
         raise EmptyAttackSet(
@@ -114,7 +114,7 @@ def success_masks(
     owner = np.array([i for i, s in enumerate(samples) for _ in s.attempts])
     cand = np.array([a for s in samples for a in s.attempts.values()])
     orig = np.array([samples[i].original for i in owner])
-    mis = model.predict_proba_scaled(cand).argmax(axis=1) != y[owner]
+    mis = misclassified(model.predict_proba_scaled(cand), y[owner])
     scaler = model.scaler
     valid = validity_mask(schema, scaler, cs, orig, cand, budget, cfg)
     loose = validity_mask(

@@ -43,6 +43,13 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.log(probs[np.arange(len(y)), y] + 1e-12)
 
 
+def misclassified(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row mask: the predicted class (argmax, a tie going to class
+    0) is not the label. Every attack stage and the harness judge a
+    candidate by this rule."""
+    return probs.argmax(axis=1) != y
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100

@@ -3,8 +3,9 @@
 `column_slots` as they were before the schema built its facts once.
 Each rebuilt the masks, bounds and one-hot groups from the feature list
 on every call. Kept verbatim, apart from reading the facts through the
-copied methods below, so that the tests can hold the cached layout to
-the same bits and the same error messages."""
+copied methods below and fixing a feature whose min equals its max, so
+that the tests can hold the cached layout to the same bits and the same
+error messages."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ class _Facts:
         self.n_features = len(self.features)
 
     def mutable_mask(self) -> np.ndarray:
-        return np.array([f.mutable for f in self.features], dtype=bool)
+        return np.array([f.mutable and f.min != f.max for f in self.features], dtype=bool)
 
     def integer_mask(self) -> np.ndarray:
         return np.array([f.kind == "integer" for f in self.features], dtype=bool)

@@ -20,10 +20,11 @@ from tabrobust.attacks import (
     project,
     validity_mask,
 )
-from tabrobust.attacks.capgd import _lex_less
+from tabrobust.attacks.capgd import GradientAttackOutput, _lex_less
 from tabrobust.attacks.moeva import (
     MUTATION_PROB,
     SIGMA_FRACTION,
+    SearchAttackOutput,
     _crossover_batch,
     _mutate,
     rank_and_crowding,
@@ -45,10 +46,11 @@ from tabrobust.expressions import (
     Sub,
 )
 from tabrobust.harness import select_attack_set
-from tabrobust.mlp import ReferenceModel
+from tabrobust.mlp import ReferenceModel, misclassified
 from tabrobust.parser import parse_constraint
 
 moeva_module = importlib.import_module("tabrobust.attacks.moeva")
+caa_module = importlib.import_module("tabrobust.attacks.caa")
 
 # Hand-iterated from p_0 = 0, p_1 = 0.22,
 # p_{j+1} = p_j + max(p_j - p_{j-1} - 0.03, 0.06):
@@ -698,7 +700,7 @@ class TestMoeva:
         budget = AttackBudget(eps=0.3, n_gen=2, n_pop=6, n_off=4, seed=0)
         out = moeva(model, ConstraintSet(), np.array([0.5, 0.5]), 1, budget, schema,
                     row_seed=0)
-        assert out.misclassified and out.success
+        assert out.success
 
     def test_nan_penalty_ranks_after_every_number(self, monkeypatch):
         # The seed population's penalties are NaN, the offspring's finite.
@@ -721,7 +723,7 @@ class TestMoeva:
         monkeypatch.setattr(moeva_module, "total_penalty", nan_seed_penalty)
         out = moeva(model, cs, z0, 0, budget, schema, row_seed=0)
         monkeypatch.undo()
-        assert not out.misclassified and len(populations) == 1 + budget.n_gen
+        assert not out.success and len(populations) == 1 + budget.n_gen
         pop = np.vstack([X for X, _ in populations])  # raw is scaled here
         f3 = np.concatenate([p for _, p in populations])
         f1 = model.predict_proba_scaled(pop)[:, 0]
@@ -733,8 +735,7 @@ class TestMoeva:
 
     def test_best_row_is_not_evaluated_again(self, small_bench, monkeypatch):
         # One forward pass per evaluated population, the seed population
-        # and each generation run, which is one per trace entry; the best
-        # row's flag comes from those passes.
+        # and each generation run, which is one per trace entry.
         model, dataset, schema, cs = small_bench
         budget = AttackBudget(eps=0.5, n_gen=6, n_pop=20, n_off=12, seed=2)
         idx = select_attack_set(model, dataset, schema, cap=3, seed=2)
@@ -750,9 +751,6 @@ class TestMoeva:
         monkeypatch.setattr(ReferenceModel, "_forward", counting_forward)
         out = moeva(model, cs, z, y, budget, schema, row_seed=int(idx[0]))
         assert forwards[0] == len(out.trace)
-        monkeypatch.undo()
-        best = out.candidate[None]
-        assert out.misclassified == (model.predict_proba_scaled(best).argmax() != y)
 
     @staticmethod
     def full_run(monkeypatch, *args, **kwargs):
@@ -802,7 +800,6 @@ class TestMoeva:
             assert len(out.trace) == len(full.trace) == args[4].n_gen + 1
             assert out.trace == full.trace
             assert np.array_equal(out.candidate, full.candidate)
-            assert out.misclassified == full.misclassified
 
     @pytest.mark.parametrize("n", [37, 200, 300])
     @pytest.mark.parametrize("pairs", [1, 50, 51])
@@ -949,6 +946,50 @@ class TestCaa:
                 assert np.array_equal(s.candidate[immutable], Z[i][immutable])
             else:
                 assert np.array_equal(s.candidate, Z[i])
+
+    @pytest.mark.parametrize("norm", ["L2", "Linf"])
+    def test_settle_repeats_the_gradient_flags_bit_for_bit(self, small_bench, monkeypatch, norm):
+        # The judge scores a gradient candidate at the position and batch
+        # size CAPGD scored it at, so its flag is CAPGD's own.
+        model, dataset, schema, cs = small_bench
+        idx = select_attack_set(model, dataset, schema, cap=60, seed=3)
+        Z = model.scaler.transform(dataset.X[idx])
+        outs, judged = [], []
+
+        def spy_capgd(*args):
+            outs.append(capgd(*args))
+            return outs[-1]
+
+        def spy_judge(probs, y):
+            judged.append(misclassified(probs, y))
+            return judged[-1]
+
+        monkeypatch.setattr(caa_module, "capgd", spy_capgd)
+        monkeypatch.setattr(caa_module, "misclassified", spy_judge)
+        caa(model, cs, Z, dataset.y[idx], self.small_budget(norm=norm, n_gen=0), schema,
+            row_indices=idx)
+        [out], [mis] = outs, judged
+        assert np.array_equal(mis, out.misclassified)
+        assert 0 < mis.sum() < len(mis)
+
+    def test_settle_takes_no_flag_from_a_stage(self, small_bench, monkeypatch):
+        # Stages that hand back the unperturbed, correctly classified rows
+        # and claim them as misclassified successes win nothing.
+        model, dataset, schema, cs = small_bench
+        idx = select_attack_set(model, dataset, schema, cap=8, seed=3)
+        Z = model.scaler.transform(dataset.X[idx])
+        monkeypatch.setattr(
+            caa_module, "capgd",
+            lambda model, cs, Z, *rest: GradientAttackOutput(Z.copy(), np.ones(len(Z), bool)),
+        )
+        monkeypatch.setattr(
+            caa_module, "moeva",
+            lambda model, cs, z, *rest, **kw: SearchAttackOutput(z.copy(), success=True),
+        )
+        result = caa(model, cs, Z, dataset.y[idx], self.small_budget(), schema,
+                     row_indices=idx)
+        assert not result.success_indices()
+        assert all(list(s.attempts) == ["gradient", "search"] for s in result.samples)
 
     def test_failed_carried_candidate_goes_on_to_the_attack(self, small_bench):
         # The unperturbed original is correctly classified, so as a carried

@@ -89,6 +89,24 @@ class TestSchema:
         with pytest.raises(DataError, match="onehot_group"):
             FeatureMetadata("x", "categorical", 0, 1)
 
+    @pytest.mark.parametrize("lo,hi", [(0, 2), (-1, 1), (0, 0), (1, 1)])
+    def test_categorical_bounds_are_zero_and_one(self, lo, hi):
+        # A one-hot column is written as scaled 0 or 1: the raw bounds.
+        with pytest.raises(DataError, match=r"categorical feature 'c': bounds must be \[0, 1\]"):
+            FeatureMetadata("c", "categorical", lo, hi, onehot_group="g")
+
+    def test_feature_with_one_legal_value_is_fixed(self):
+        schema = DatasetSchema([
+            FeatureMetadata("a", "continuous", 0.5, 0.5),
+            FeatureMetadata("b", "integer", 3, 3),
+            FeatureMetadata("c", "continuous", 0.0, 1.0),
+            FeatureMetadata("d", "continuous", 0.0, 1.0, mutable=False),
+        ])
+        assert schema.mutable.tolist() == [False, False, True, False]
+        assert schema.immutable.tolist() == [0, 1, 3]
+        # The schema still says what was declared.
+        assert [f["mutable"] for f in schema.to_dict()["features"]] == [True, True, True, False]
+
     @pytest.mark.parametrize(
         "lo,hi",
         [

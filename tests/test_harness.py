@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from tabrobust import harness
 from tabrobust.attacks import AttackBudget, validity_mask
 from tabrobust.attacks.budget import NORMS
-from tabrobust.cli import _FLAG_KEYS, build_parser
+from tabrobust.cli import build_parser
 from tabrobust.cli import main as cli_main
-from tabrobust.data import DataError, Dataset
+from tabrobust.data import DataError, Dataset, DatasetSchema
 from tabrobust.defense import AUGMENT_METHODS
 from tabrobust.engine import PenaltyConfig
 from tabrobust.harness import (
@@ -26,6 +27,7 @@ from tabrobust.harness import (
     select_attack_set,
     success_masks,
 )
+from tabrobust.mlp import ReferenceModel, TrainConfig, train
 from tabrobust.report import (
     REPORT_FORMATS,
     EvaluationReport,
@@ -33,8 +35,16 @@ from tabrobust.report import (
     load_report,
     merge_leaderboard,
 )
+from tabrobust.synth import SyntheticSpec, generate_synthetic
 
 BUDGET = AttackBudget(eps=0.5, n_gen=10, n_pop=30, n_off=20, seed=3)
+
+# The config keys and keywords that CLI flags set.
+LIBRARY_KEYS = {
+    "epochs", "batch_size", "learning_rate", "norm", "eps", "n_iter_gradient", "n_gen",
+    "seed", "n_rows", "n_features", "template", "label_noise", "replay_fraction", "ratio",
+    "cap", "model_name", "defense",
+}
 
 
 class TestSelectAttackSet:
@@ -89,6 +99,32 @@ class TestRobustAccuracy:
         ra_u = 1.0 - uncon.sum() / len(idx)
         assert np.all(uncon[con])  # constrained success implies unconstrained
         assert ra_c >= ra_u
+
+    def test_feature_with_one_legal_value_is_pinned(self):
+        # F6 declared [0.5, 0.5], mutable or not: the attack cannot move it
+        # off its one value, so both declarations give the same attack.
+        dataset, schema, cs = generate_synthetic(SyntheticSpec(n_rows=1500, n_features=7),
+                                                 seed=7)
+        X = dataset.X.copy()
+        X[:, 6] = 0.5
+        dataset = Dataset(X, dataset.y)
+
+        def pinned(mutable):
+            feats = list(schema.features)
+            feats[6] = replace(feats[6], min=0.5, max=0.5, mutable=mutable)
+            return DatasetSchema(feats, schema.critical_class)
+
+        model = ReferenceModel(7, seed=1)
+        model, _ = train(model, dataset, TrainConfig(epochs=10, seed=1), schema=pinned(True))
+        idx = select_attack_set(model, dataset, pinned(True), cap=60)
+        budget = AttackBudget(n_gen=0)
+        runs = [robust_accuracy(model, cs, dataset, pinned(m), budget, indices=idx)
+                for m in (True, False)]
+        (acc_mutable, mutable), (acc_fixed, fixed) = runs
+        assert acc_mutable == acc_fixed < 1.0
+        for a, b in zip(mutable.samples, fixed.samples):
+            assert np.array_equal(a.candidate, b.candidate)
+            assert a.attempts["gradient"][6] == a.original[6]
 
     def test_all_reverted_gives_one(self, small_bench):
         model, dataset, schema, cs = small_bench
@@ -513,15 +549,16 @@ class TestCli:
         assert "row 3 violates the constraints" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_flag_key_flags_default_to_none(self):
-        # A flag mapped to a library key must leave the default to the library.
+    def test_library_key_flags_default_to_none(self):
+        # A flag is named by the library key it sets, and leaves the
+        # default to the library.
         checked = set()
         for command, sub in build_parser()._subparsers._group_actions[0].choices.items():
             for action in sub._actions:
-                if action.dest in _FLAG_KEYS:
+                if action.dest in LIBRARY_KEYS:
                     assert action.default is None, (command, action.dest)
                     checked.add(action.dest)
-        assert checked == set(_FLAG_KEYS)
+        assert checked == LIBRARY_KEYS
 
     def test_choice_lists_come_from_the_library(self):
         subs = build_parser()._subparsers._group_actions[0].choices
@@ -552,6 +589,40 @@ class TestCli:
             ) == 1, argv
             assert "takes 6 features, but the schema has 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_model_and_schema_bounds_must_match(self, cli_dataset, cli_model, tmp_path, capsys):
+        # The attack searches the model scaler's box and validation reads
+        # the schema's bounds: widening a bound the data still meets
+        # moves only the second.
+        schema = json.loads((cli_dataset / "schema.json").read_text())
+        schema["features"][0]["min"] -= 1.0
+        edited = tmp_path / "schema.json"
+        edited.write_text(json.dumps(schema))
+        for argv in (["attack"], ["sweep", "--axis", "eps", "--values", "0.5"]):
+            capsys.readouterr()
+            assert cli_main(
+                [*argv, "--model", str(cli_model), "--data", str(cli_dataset),
+                 "--schema", str(edited), "--cap", "3", "--out", str(tmp_path / "out")]
+            ) == 1, argv
+            assert "trained for other feature bounds than the schema's" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_categorical_bounds_other_than_zero_and_one_exit_one(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        group = {"kind": "categorical", "min": 0, "max": 2, "onehot_group": "g"}
+        (ds / "schema.json").write_text(json.dumps({"features": [
+            {"name": "x", "min": 0, "max": 1}, {"name": "g_a", **group},
+            {"name": "g_b", **group},
+        ]}))
+        rows = [f"{i / 40},{i % 2},{1 - i % 2},{i % 2}" for i in range(40)]
+        (ds / "data.csv").write_text("\n".join(["x,g_a,g_b,label", *rows]) + "\n")
+        capsys.readouterr()
+        assert cli_main(
+            ["train", "--data", str(ds), "--epochs", "1", "--out", str(tmp_path / "m.json")]
+        ) == 1
+        assert "categorical feature 'g_a': bounds must be [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_unread_flags_exit_one(self, cli_dataset, tmp_path, capsys):
         inputs = ["--inputs", str(tmp_path / "r.json")]

@@ -13,6 +13,7 @@ from tabrobust.mlp import (
     ReferenceModel,
     TrainConfig,
     TrainingDiverged,
+    misclassified,
     stratified_split,
     train,
 )
@@ -34,6 +35,12 @@ def toy_schema():
             FeatureMetadata("v", "continuous", 0.0, 1.0),
         ]
     )
+
+
+def test_misclassified_is_argmax_against_the_label_with_ties_to_class_zero():
+    probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.7, 0.3]])
+    y = np.array([1, 0, 0, 1, 0, 1])
+    assert misclassified(probs, y).tolist() == [True, False, False, False, True, True]
 
 
 class TestForward:
